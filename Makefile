@@ -26,9 +26,11 @@ ci:
 	$(MAKE) attack-soak
 
 # fuzz smoke: each wire-facing decoder gets a short randomized run, plus a
-# differential fuzz of the Montgomery field core against big.Int.
+# differential fuzz of the Montgomery field core against big.Int and of
+# the optimal-ate check schedule against the ate pairing.
 fuzz:
 	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzGfPvsBigInt$$' -fuzztime=10s
+	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzCheckVsAte$$' -fuzztime=10s
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=10s
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzUnmarshalBeacon$$' -fuzztime=10s

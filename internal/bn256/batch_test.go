@@ -188,38 +188,3 @@ func TestMillerCombinedMatchesProduct(t *testing.T) {
 		t.Fatal("empty MillerCombined should be one")
 	}
 }
-
-// TestPairBatchMatchesProduct checks that the shared-final-exponentiation
-// product equals the product of individually finalized pairings.
-func TestPairBatchMatchesProduct(t *testing.T) {
-	pairs := make([]Pairing, 4)
-	want := new(GT).SetOne()
-	for i := range pairs {
-		p := new(G1).ScalarBaseMult(randomScalarT(t))
-		q := new(G2).ScalarBaseMult(randomScalarT(t))
-		pairs[i] = Pairing{G1: p, G2: q}
-		want.Add(want, Pair(p, q))
-	}
-	if got := PairBatch(pairs); !got.Equal(want) {
-		t.Fatal("PairBatch disagrees with product of Pair calls")
-	}
-
-	// Identity pairs contribute nothing.
-	withIdentity := append([]Pairing{{G1: new(G1).SetInfinity(), G2: new(G2).Base()}}, pairs...)
-	if got := PairBatch(withIdentity); !got.Equal(want) {
-		t.Fatal("PairBatch should skip identity pairs")
-	}
-
-	// Empty batch is the identity.
-	if !PairBatch(nil).IsOne() {
-		t.Fatal("empty PairBatch should be one")
-	}
-
-	// A pairing and its inverse cancel under one final exponentiation.
-	p := new(G1).ScalarBaseMult(randomScalarT(t))
-	q := new(G2).ScalarBaseMult(randomScalarT(t))
-	cancel := []Pairing{{G1: p, G2: q}, {G1: new(G1).Neg(p), G2: q}}
-	if !PairBatch(cancel).IsOne() {
-		t.Fatal("e(P,Q)·e(−P,Q) should finalize to one")
-	}
-}

@@ -96,3 +96,13 @@ func BenchmarkHashToG2(b *testing.B) {
 		HashToG2(msg)
 	}
 }
+
+func BenchmarkCheckMiller(b *testing.B) {
+	a, _ := RandomScalar(rand.Reader)
+	p := &G1{p: newCurvePoint().Mul(curveGen, a)}
+	cq := PrepareCheckG2(new(G2).Base())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cq.Miller(p)
+	}
+}

@@ -448,22 +448,6 @@ func (e *GT) Finalize() *GT {
 	return e
 }
 
-// PairingCheck reports whether Π e(g1[i], g2[i]) = 1 using a shared final
-// exponentiation. It panics if the slices have different lengths.
-func PairingCheck(g1s []*G1, g2s []*G2) bool {
-	if len(g1s) != len(g2s) {
-		panic("bn256: PairingCheck slice length mismatch")
-	}
-	acc := newGFp12().SetOne()
-	for i := range g1s {
-		if g1s[i].p.IsInfinity() || g2s[i].p.IsInfinity() {
-			continue
-		}
-		acc.Mul(acc, miller(g2s[i].p, g1s[i].p))
-	}
-	return finalExponentiation(acc).IsOne()
-}
-
 func allZero(m []byte) bool {
 	for _, b := range m {
 		if b != 0 {

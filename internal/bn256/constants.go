@@ -16,6 +16,10 @@ var Order = bnOrder()
 // T = t − 1 = 6u² where t = 6u² + 1 is the trace of Frobenius.
 var ateLoopCount = new(big.Int).Mul(big.NewInt(6), new(big.Int).Mul(u, u))
 
+// optimalLoopCount is the Miller loop length of the optimal ate pairing,
+// 6u + 2, about half the bits of ateLoopCount.
+var optimalLoopCount = new(big.Int).Add(new(big.Int).Mul(big.NewInt(6), u), big.NewInt(2))
+
 // curveB is the constant of E: y² = x³ + curveB over F_p.
 var curveB = big.NewInt(3)
 

@@ -12,6 +12,11 @@
 //   - GT, the order-n subgroup of F_p¹²*, and
 //   - a non-degenerate bilinear map Pair: G1 × G2 → GT (the ate pairing).
 //
+// Products of pairings that only need to be compared with 1 can instead
+// run on the optimal ate pairing, whose Miller loop is half as long
+// (PairingCheck, CheckG2). Its values are a different power of the same
+// underlying pairing, so the package never lets them out as GT elements.
+//
 // All derived constants (p, the group order n, the twist coefficient, the
 // Frobenius twist factors) are computed from u at package initialization
 // rather than transcribed, eliminating a whole class of constant-typo bugs.

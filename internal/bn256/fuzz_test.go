@@ -62,3 +62,38 @@ func FuzzGfPvsBigInt(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckVsAte differentially fuzzes the check schedule against the ate
+// schedule on the co-DDH decision e(aP, bQ)·e(−cP, Q) = 1, which must hold
+// under both exactly when c ≡ ab. An even sel forces c = ab so both
+// outcomes are exercised.
+// Run as a short smoke in CI: go test -run=^$ -fuzz=FuzzCheckVsAte -fuzztime=10s
+func FuzzCheckVsAte(f *testing.F) {
+	f.Add([]byte{1}, []byte{1}, []byte{1}, byte(1))
+	f.Add([]byte{2}, []byte{3}, []byte{6}, byte(1))
+	f.Add([]byte{2}, []byte{3}, []byte{7}, byte(1))
+	f.Add([]byte{0}, []byte{9}, []byte{0}, byte(1))
+	f.Add(Order.Bytes(), []byte{5}, []byte{1}, byte(1))
+	wide := new(big.Int).Sub(Order, big.NewInt(2)).Bytes()
+	f.Add(wide, P.Bytes(), wide, byte(0))
+	f.Add(wide, P.Bytes(), wide, byte(1))
+
+	f.Fuzz(func(t *testing.T, aRaw, bRaw, cRaw []byte, sel byte) {
+		if len(aRaw) > 64 || len(bRaw) > 64 || len(cRaw) > 64 {
+			return
+		}
+		a := new(big.Int).Mod(new(big.Int).SetBytes(aRaw), Order)
+		b := new(big.Int).Mod(new(big.Int).SetBytes(bRaw), Order)
+		c := new(big.Int).Mod(new(big.Int).SetBytes(cRaw), Order)
+		ab := new(big.Int).Mul(a, b)
+		ab.Mod(ab, Order)
+		if sel%2 == 0 {
+			c.Set(ab)
+		}
+		want := c.Cmp(ab) == 0
+		ate, check := dhProductIsOne(a, b, c)
+		if ate != want || check != want {
+			t.Fatalf("a=%v b=%v c=%v: c ≡ ab is %v, ate says %v, check says %v", a, b, c, want, ate, check)
+		}
+	})
+}

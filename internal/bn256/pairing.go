@@ -21,9 +21,9 @@ import "math/big"
 // exponentiation.
 //
 // Line coefficients depend only on Q, so the doubling/addition schedule for
-// the fixed loop count T can be computed once per Q and replayed against
-// many P — that is exactly what PreparedG2 does. miller() itself is just
-// prepareLines + evalMiller.
+// a fixed loop count can be computed once per Q and replayed against many
+// P — that is exactly what PreparedG2 and CheckG2 do. miller() itself is
+// just prepare + eval on the ate schedule.
 
 // preparedLine holds the P-independent coefficients of one Miller-loop line.
 // At evaluation time c1 is scaled by x_P and c0 by y_P (both base-field
@@ -163,59 +163,118 @@ func lineAdd(r, q *twistPoint, qy2 *gfP2) preparedLine {
 	return line
 }
 
-// prepareLines runs the Miller doubling/addition schedule for the fixed
-// loop count T = ateLoopCount over q alone, recording one preparedLine per
-// step in loop order. evalMiller replays the same schedule, so the i-th
-// recorded line is consumed at the i-th step.
-func prepareLines(q *twistPoint) []preparedLine {
+// millerSchedule is one Miller-loop addition chain over the G2 argument:
+// for each bit of count below the leading one, a doubling step and, on a
+// set bit, an addition of Q; with frobTail, two closing additions of π(Q)
+// and −π²(Q). Every step emits one line. square[i] says whether the
+// accumulator is squared before the i-th line is multiplied in, so the
+// prepare and eval halves of the engine walk the same chain.
+//
+// Two schedules exist:
+//
+//   - ateSchedule, count T = 6u² (128 bits): the plain ate pairing behind
+//     Pair, Miller, PreparedG2 and every value that is marshaled or hashed.
+//   - checkSchedule, count 6u+2 (66 bits) plus the Frobenius tail: the
+//     optimal ate pairing of Vercauteren (IEEE TIT 2010). It is a
+//     non-degenerate bilinear map on G1 × G2 too, but its values are a
+//     fixed power of the ate values, so it is reachable only through
+//     CheckG2, CheckValue and PairingCheck, whose results can only be
+//     tested for identity.
+type millerSchedule struct {
+	count    *big.Int
+	frobTail bool
+	square   []bool
+}
+
+func newMillerSchedule(count *big.Int, frobTail bool) *millerSchedule {
+	s := &millerSchedule{count: count, frobTail: frobTail}
+	for i := count.BitLen() - 2; i >= 0; i-- {
+		s.square = append(s.square, true)
+		if count.Bit(i) != 0 {
+			s.square = append(s.square, false)
+		}
+	}
+	if frobTail {
+		s.square = append(s.square, false, false)
+	}
+	return s
+}
+
+var (
+	ateSchedule   = newMillerSchedule(ateLoopCount, false)
+	checkSchedule = newMillerSchedule(optimalLoopCount, true)
+)
+
+// prepare runs the schedule's doubling/addition chain over q alone,
+// recording one preparedLine per step in loop order.
+func (s *millerSchedule) prepare(q *twistPoint) []preparedLine {
 	qa := newTwistPoint().Set(q)
 	qa.MakeAffine()
 	qy2 := newGFp2().Square(&qa.y)
 
 	r := newTwistPoint().Set(qa)
-	t := ateLoopCount
-	steps := make([]preparedLine, 0, t.BitLen()+popCount(t))
-	for i := t.BitLen() - 2; i >= 0; i-- {
+	steps := make([]preparedLine, 0, len(s.square))
+	for i := s.count.BitLen() - 2; i >= 0; i-- {
 		steps = append(steps, lineDouble(r))
-		if t.Bit(i) != 0 {
+		if s.count.Bit(i) != 0 {
 			steps = append(steps, lineAdd(r, qa, qy2))
 		}
+	}
+	if s.frobTail {
+		// π(Q) on the twist: untwist, apply the p-power Frobenius, twist
+		// back. With the untwist (x, y) ↦ (x·w², y·w³) and w⁶ = ξ this is
+		// (x̄·ξ^((p−1)/3), ȳ·ξ^((p−1)/2)).
+		q1 := newTwistPoint()
+		q1.x.Conjugate(&qa.x)
+		q1.x.Mul(&q1.x, xiToPMinus1Over3)
+		q1.y.Conjugate(&qa.y)
+		q1.y.Mul(&q1.y, xiToPMinus1Over2)
+		q1.z.SetOne()
+		q1.t.SetOne()
+		steps = append(steps, lineAdd(r, q1, newGFp2().Square(&q1.y)))
+
+		// −π²(Q): the two conjugations cancel, leaving the p² factors.
+		q2 := newTwistPoint()
+		q2.x.Mul(&qa.x, xiToPSquaredMinus1Over3)
+		q2.y.Mul(&qa.y, xiToPSquaredMinus1Over2)
+		q2.y.Neg(&q2.y)
+		q2.z.SetOne()
+		q2.t.SetOne()
+		steps = append(steps, lineAdd(r, q2, newGFp2().Square(&q2.y)))
 	}
 	return steps
 }
 
-func popCount(n *big.Int) int {
-	c := 0
-	for _, w := range n.Bits() {
-		for ; w != 0; w &= w - 1 {
-			c++
-		}
-	}
-	return c
+// millerArg is one factor of a Miller product: a G2 argument's recorded
+// lines and the affine coordinates of the G1 argument.
+type millerArg struct {
+	steps []preparedLine
+	x, y  gfP
 }
 
-// evalMiller computes f_{T,Q}(P) from Q's precomputed line schedule.
-func evalMiller(steps []preparedLine, p *curvePoint) *gfP12 {
+func newMillerArg(steps []preparedLine, p *curvePoint) millerArg {
 	pa := newCurvePoint().Set(p)
 	pa.MakeAffine()
+	return millerArg{steps: steps, x: pa.x, y: pa.y}
+}
 
+// eval computes the un-finalized product Π f_{s,Q_i}(P_i). All factors
+// walk the same chain, so the per-step squaring of the accumulator is
+// shared: n factors cost one squaring chain plus n sets of line
+// multiplications.
+func (s *millerSchedule) eval(args []millerArg) *gfP12 {
 	f := newGFp12().SetOne()
 	var c0, c1 gfP2
-	idx := 0
-	t := ateLoopCount
-	for i := t.BitLen() - 2; i >= 0; i-- {
-		f.Square(f)
-		s := &steps[idx]
-		idx++
-		c1.MulScalar(&s.c1, &pa.x)
-		c0.MulScalar(&s.c0, &pa.y)
-		f.MulLine(f, &c0, &c1, &s.c3)
-		if t.Bit(i) != 0 {
-			s = &steps[idx]
-			idx++
-			c1.MulScalar(&s.c1, &pa.x)
-			c0.MulScalar(&s.c0, &pa.y)
-			f.MulLine(f, &c0, &c1, &s.c3)
+	for i, sq := range s.square {
+		if sq {
+			f.Square(f)
+		}
+		for j := range args {
+			a := &args[j]
+			l := &a.steps[i]
+			c1.MulScalar(&l.c1, &a.x)
+			c0.MulScalar(&l.c0, &a.y)
+			f.MulLine(f, &c0, &c1, &l.c3)
 		}
 	}
 	return f
@@ -223,7 +282,7 @@ func evalMiller(steps []preparedLine, p *curvePoint) *gfP12 {
 
 // miller computes f_{T,Q}(P) for T = ateLoopCount.
 func miller(q *twistPoint, p *curvePoint) *gfP12 {
-	return evalMiller(prepareLines(q), p)
+	return ateSchedule.eval([]millerArg{newMillerArg(ateSchedule.prepare(q), p)})
 }
 
 // finalExponentiationEasy computes f^((p⁶−1)(p²+1)), mapping f into the

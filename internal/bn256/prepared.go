@@ -1,37 +1,60 @@
 package bn256
 
+// g2Lines is a G2 argument's recorded Miller lines on one schedule. The
+// identity records no lines and contributes the neutral element.
+type g2Lines struct {
+	infinity bool
+	steps    []preparedLine
+}
+
+func prepareG2Lines(s *millerSchedule, q *twistPoint) g2Lines {
+	if q.IsInfinity() {
+		return g2Lines{infinity: true}
+	}
+	return g2Lines{steps: s.prepare(q)}
+}
+
+// millerProduct evaluates Π f_{s,Q_i}(P_i) in one pass of s. Identity
+// arguments on either side contribute the neutral element.
+func millerProduct(s *millerSchedule, lines []*g2Lines, points []*G1) *gfP12 {
+	args := make([]millerArg, 0, len(lines))
+	for i, l := range lines {
+		if l.infinity || points[i].p.IsInfinity() {
+			continue
+		}
+		args = append(args, newMillerArg(l.steps, points[i].p))
+	}
+	if len(args) == 0 {
+		return newGFp12().SetOne()
+	}
+	return s.eval(args)
+}
+
 // PreparedG2 caches the Miller-loop line computations for a fixed G2
 // argument. The ate Miller loop walks a fixed doubling/addition schedule
 // over the twist point Q, and the projective line coefficients of every
 // step depend only on Q; the two G1-dependent coefficients are cheap
 // per-evaluation scalar products with x_P and y_P. Precomputing the Q-side
 // halves the cost of evaluating e(·, Q) against many G1 points (batch
-// verification, revocation sweeps against a fixed û).
+// verification, signing against the fixed g2 and w).
 //
 // A PreparedG2 is immutable after construction and safe for concurrent
 // use by multiple goroutines.
 type PreparedG2 struct {
-	infinity bool
-	steps    []preparedLine
+	lines g2Lines
 }
 
 // PrepareG2 runs the Miller doubling/addition schedule once for q and
 // records the line coefficients. The cost is comparable to one Miller loop.
 func PrepareG2(q *G2) *PreparedG2 {
-	if q.p.IsInfinity() {
-		return &PreparedG2{infinity: true}
-	}
-	return &PreparedG2{steps: prepareLines(q.p)}
+	return &PreparedG2{lines: prepareG2Lines(ateSchedule, q.p)}
 }
 
 // Miller evaluates the recorded lines at g1, returning the un-finalized
 // Miller value f_{T,Q}(P) exactly as Miller(g1, q) would. Combine values
 // with GT.Add and reduce once with GT.Finalize.
 func (pq *PreparedG2) Miller(g1 *G1) *GT {
-	if pq.infinity || g1.p.IsInfinity() {
-		return &GT{p: newGFp12().SetOne()}
-	}
-	return &GT{p: evalMiller(pq.steps, g1.p)}
+	return &GT{p: millerProduct(ateSchedule, []*g2Lines{&pq.lines}, []*G1{g1})}
 }
 
 // Pair evaluates the full pairing e(g1, Q) via the prepared lines.
@@ -53,43 +76,9 @@ func MillerCombined(preps []*PreparedG2, points []*G1) *GT {
 	if len(preps) != len(points) {
 		panic("bn256: MillerCombined slice length mismatch")
 	}
-	type active struct {
-		steps []preparedLine
-		x, y  gfP
-	}
-	acts := make([]active, 0, len(preps))
+	lines := make([]*g2Lines, len(preps))
 	for i, pq := range preps {
-		if pq.infinity || points[i].p.IsInfinity() {
-			continue
-		}
-		pa := newCurvePoint().Set(points[i].p)
-		pa.MakeAffine()
-		acts = append(acts, active{steps: pq.steps, x: pa.x, y: pa.y})
+		lines[i] = &pq.lines
 	}
-
-	f := newGFp12().SetOne()
-	if len(acts) == 0 {
-		return &GT{p: f}
-	}
-	var c0, c1 gfP2
-	idx := 0
-	t := ateLoopCount
-	mulLines := func() {
-		for i := range acts {
-			a := &acts[i]
-			s := &a.steps[idx]
-			c1.MulScalar(&s.c1, &a.x)
-			c0.MulScalar(&s.c0, &a.y)
-			f.MulLine(f, &c0, &c1, &s.c3)
-		}
-		idx++
-	}
-	for i := t.BitLen() - 2; i >= 0; i-- {
-		f.Square(f)
-		mulLines()
-		if t.Bit(i) != 0 {
-			mulLines()
-		}
-	}
-	return &GT{p: f}
+	return &GT{p: millerProduct(ateSchedule, lines, points)}
 }

@@ -40,36 +40,27 @@ type BatchItem struct {
 //
 // A Verifier is immutable after construction and safe for concurrent use.
 type Verifier struct {
-	pk     *PublicKey
-	g2Prep *bn256.PreparedG2
-	wPrep  *bn256.PreparedG2
+	pk *PublicKey
 
-	// Fixed-generator cache: the H0 scalars, window tables for u = g1^a
-	// and v = g1^b, and the prepared G2 counterparts for revocation sweeps.
-	fixedA, fixedB *big.Int
-	uTable, vTable *bn256.G1Table
-	uhatPrep       *bn256.PreparedG2
-	vhatPrep       *bn256.PreparedG2
-	vhat           *bn256.G2
+	// Fixed-generator cache: window tables for u = g1^a and v = g1^b, and
+	// the check-schedule lines of û and v̂ for revocation sweeps.
+	uTable, vTable       *bn256.G1Table
+	uhatLines, vhatLines *bn256.CheckG2
 }
 
-// NewVerifier precomputes the pairing and exponentiation tables for pk.
-// The one-time cost is a few full pairings; every subsequent verification
-// is roughly twice as fast as Verify, before any parallelism.
+// NewVerifier precomputes the exponentiation tables for pk; the pairing
+// lines of g2 and w are shared with signing through the public key. The
+// one-time cost is a few full pairings; every subsequent verification is
+// roughly twice as fast as Verify, before any parallelism.
 func NewVerifier(pk *PublicKey) *Verifier {
-	v := &Verifier{
-		pk:     pk,
-		g2Prep: bn256.PrepareG2(new(bn256.G2).Base()),
-		wPrep:  bn256.PrepareG2(pk.W),
+	a, b := deriveScalars(pk, FixedGenerators, nil, nil, counter{})
+	return &Verifier{
+		pk:        pk,
+		uTable:    bn256.NewG1Table(new(bn256.G1).ScalarBaseMult(a)),
+		vTable:    bn256.NewG1Table(new(bn256.G1).ScalarBaseMult(b)),
+		uhatLines: bn256.PrepareCheckG2(new(bn256.G2).ScalarBaseMult(a)),
+		vhatLines: bn256.PrepareCheckG2(new(bn256.G2).ScalarBaseMult(b)),
 	}
-	v.fixedA, v.fixedB = deriveScalars(pk, FixedGenerators, nil, nil, counter{})
-	v.uTable = bn256.NewG1Table(new(bn256.G1).ScalarBaseMult(v.fixedA))
-	v.vTable = bn256.NewG1Table(new(bn256.G1).ScalarBaseMult(v.fixedB))
-	uhat := new(bn256.G2).ScalarBaseMult(v.fixedA)
-	v.vhat = new(bn256.G2).ScalarBaseMult(v.fixedB)
-	v.uhatPrep = bn256.PrepareG2(uhat)
-	v.vhatPrep = bn256.PrepareG2(v.vhat)
-	return v
 }
 
 // PublicKey returns the group public key this verifier was built for.
@@ -141,8 +132,9 @@ func (v *Verifier) verifyOne(msg []byte, sig *Signature, ct counter) error {
 
 	// R̃2 = e(A, g2) · e(B, w): two prepared Miller loops sharing the
 	// squaring chain and one final exponentiation.
+	g2Lines, wLines := v.pk.lines()
 	r2 := bn256.MillerCombined(
-		[]*bn256.PreparedG2{v.g2Prep, v.wPrep},
+		[]*bn256.PreparedG2{g2Lines, wLines},
 		[]*bn256.G1{lhsA, lhsB},
 	).Finalize()
 	ct.pairing(2)
@@ -226,9 +218,8 @@ func (v *Verifier) batchVerify(items []BatchItem, counted bool) ([]error, OpCoun
 
 // SweepURL scans the revocation list for the signer of sig (the paper's
 // Eq.3) using all CPUs. It returns whether a token matched and, if so, the
-// smallest matching index. The e(T1, v̂)⁻¹ Miller value is computed once
-// and shared read-only by every worker; each token then costs one prepared
-// Miller loop and a final exponentiation.
+// smallest matching index. Each token costs one check-schedule Miller loop
+// and a final exponentiation (see sweep).
 func (v *Verifier) SweepURL(msg []byte, sig *Signature, tokens []*RevocationToken) (bool, int) {
 	return v.SweepURLWorkers(msg, sig, tokens, runtime.GOMAXPROCS(0))
 }
@@ -240,72 +231,15 @@ func (v *Verifier) SweepURLWorkers(msg []byte, sig *Signature, tokens []*Revocat
 	if len(tokens) == 0 {
 		return false, -1
 	}
-
-	// Fixed-generator signatures reuse the prepared û and v̂ built at
+	// Fixed-generator signatures reuse the û and v̂ lines built at
 	// construction; per-message ones pay one preparation per sweep,
 	// amortized over the whole list.
-	uhatPrep, vhatPrep := v.uhatPrep, v.vhatPrep
+	uhatLines, vhatLines := v.uhatLines, v.vhatLines
 	if sig.Mode != FixedGenerators {
 		uhat, vhat := deriveG2Generators(v.pk, sig.Mode, msg, sig.R, counter{})
-		uhatPrep = bn256.PrepareG2(uhat)
-		vhatPrep = bn256.PrepareG2(vhat)
+		uhatLines, vhatLines = bn256.PrepareCheckG2(uhat), bn256.PrepareCheckG2(vhat)
 	}
-
-	// Shared right side: e(T1, v̂)⁻¹ as an un-finalized Miller value.
-	mRight := vhatPrep.Miller(new(bn256.G1).Neg(sig.T1))
-
-	if workers < 1 {
-		workers = 1
-	}
-	// More workers than cores only adds scheduler churn on this CPU-bound
-	// loop; more workers than tokens leaves goroutines with nothing to do.
-	if procs := runtime.GOMAXPROCS(0); workers > procs {
-		workers = procs
-	}
-	if workers > len(tokens) {
-		workers = len(tokens)
-	}
-
-	n := int64(len(tokens))
-	var found atomic.Int64
-	found.Store(n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker scratch point, reused across every token this
-			// worker examines instead of allocating one per token.
-			quot := new(bn256.G1)
-			for {
-				i := next.Add(1) - 1
-				// Indices are dispensed in order and found only decreases,
-				// so skipping i ≥ found never skips a smaller match.
-				if i >= n || i >= found.Load() {
-					return
-				}
-				quot.Neg(tokens[i].A)
-				quot.Add(sig.T2, quot) // T2/A in multiplicative notation
-				acc := uhatPrep.Miller(quot)
-				acc.Add(acc, mRight)
-				if acc.Finalize().IsOne() {
-					for {
-						cur := found.Load()
-						if i >= cur || found.CompareAndSwap(cur, i) {
-							break
-						}
-					}
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if idx := found.Load(); idx < n {
-		return true, int(idx)
-	}
-	return false, -1
+	return sweep(sig.T1, sig.T2, uhatLines, vhatLines, tokens, workers)
 }
 
 // BatchCheckKeys verifies the SDH equation e(A_i, w·g2^{grp_i+x_i}) =
@@ -313,17 +247,19 @@ func (v *Verifier) SweepURLWorkers(msg []byte, sig *Signature, tokens []*Revocat
 //
 //	Π e(A_i^{ρ_i}, w·g2^{grp_i+x_i}) · e(g1^{−Σρ_i}, g2) = 1
 //
-// with independent 64-bit exponents ρ_i, sharing one final exponentiation
-// across the whole batch. A forged key slips through only if its defect
-// cancels the random ρ_i, probability 2^{−64}. Small exponents are sound
-// here precisely because — unlike signature verification — no challenge
-// hash binds the individual equations. On batch failure every key is
-// re-checked individually and the first bad index is reported.
+// with independent 64-bit exponents ρ_i, evaluated as one PairingCheck
+// (check schedule, one final exponentiation for the whole batch). A forged
+// key slips through only if its defect cancels the random ρ_i,
+// probability 2^{−64}. Small exponents are sound here precisely because —
+// unlike signature verification — no challenge hash binds the individual
+// equations. On batch failure every key is re-checked individually and
+// the first bad index is reported.
 func BatchCheckKeys(rng io.Reader, pk *PublicKey, keys []*PrivateKey) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	pairs := make([]bn256.Pairing, 0, len(keys)+1)
+	g1s := make([]*bn256.G1, 0, len(keys)+1)
+	g2s := make([]*bn256.G2, 0, len(keys)+1)
 	rhoSum := new(big.Int)
 	for _, key := range keys {
 		rho, err := randomSmallExponent(rng)
@@ -336,18 +272,14 @@ func BatchCheckKeys(rng io.Reader, pk *PublicKey, keys []*PrivateKey) error {
 		s.Mod(s, bn256.Order)
 		rhs := new(bn256.G2).ScalarBaseMult(s)
 		rhs.Add(rhs, pk.W)
-		pairs = append(pairs, bn256.Pairing{
-			G1: new(bn256.G1).ScalarMult(key.A, rho),
-			G2: rhs,
-		})
+		g1s = append(g1s, new(bn256.G1).ScalarMult(key.A, rho))
+		g2s = append(g2s, rhs)
 	}
 	negSum := new(big.Int).Neg(rhoSum)
 	negSum.Mod(negSum, bn256.Order)
-	pairs = append(pairs, bn256.Pairing{
-		G1: new(bn256.G1).ScalarBaseMult(negSum),
-		G2: new(bn256.G2).Base(),
-	})
-	if bn256.PairBatch(pairs).IsOne() {
+	g1s = append(g1s, new(bn256.G1).ScalarBaseMult(negSum))
+	g2s = append(g2s, new(bn256.G2).Base())
+	if bn256.PairingCheck(g1s, g2s) {
 		return nil
 	}
 	for i, key := range keys {

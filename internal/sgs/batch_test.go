@@ -357,3 +357,36 @@ func TestFastRevocationCheckerHeavyRace(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedLinesConcurrentUse signs, verifies and sweeps from several
+// goroutines on a fresh public key, so the first use of the key's lazily
+// prepared g2/w lines races between signers and verifiers (run under
+// -race by make ci).
+func TestSharedLinesConcurrentUse(t *testing.T) {
+	const workers = 4
+	s := newTestSetup(t, workers)
+	pk := NewPublicKey(s.pk.W)
+	ver := NewVerifier(pk)
+	tokens := []*RevocationToken{s.keys[0].Token()}
+
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			msg := []byte{byte(i)}
+			sig, err := Sign(rand.Reader, pk, s.keys[i], msg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := ver.Verify(msg, sig); err != nil {
+				t.Errorf("signer %d: %v", i, err)
+			}
+			if revoked, _ := ver.SweepURL(msg, sig, tokens); revoked != (i == 0) {
+				t.Errorf("signer %d: revoked = %v", i, revoked)
+			}
+		}(i)
+	}
+	wg.Wait()
+}

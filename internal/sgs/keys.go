@@ -58,6 +58,12 @@ type PublicKey struct {
 	// first exponentiation of W and shared by all verifications.
 	wOnce  sync.Once
 	wTable *bn256.G2Table
+
+	// g2Lines and wLines are the ate Miller lines of the fixed G2 sides
+	// g2 and W, built lazily on the first signature or verification that
+	// pairs against them and shared by both.
+	linesOnce       sync.Once
+	g2Lines, wLines *bn256.PreparedG2
 }
 
 // NewPublicKey wraps w = g2^γ into a usable public key.
@@ -81,6 +87,16 @@ func (pk *PublicKey) wTab() *bn256.G2Table {
 		pk.wTable = bn256.NewG2Table(pk.W)
 	})
 	return pk.wTable
+}
+
+// lines returns the prepared ate lines of g2 and W, building them on first
+// use. They are immutable once built and safe for concurrent use.
+func (pk *PublicKey) lines() (g2, w *bn256.PreparedG2) {
+	pk.linesOnce.Do(func() {
+		pk.g2Lines = bn256.PrepareG2(new(bn256.G2).Base())
+		pk.wLines = bn256.PrepareG2(pk.W)
+	})
+	return pk.g2Lines, pk.wLines
 }
 
 // EGG returns the cached pairing e(g1, g2).
@@ -172,14 +188,15 @@ func (iss *Issuer) IssueBatch(rng io.Reader, grp *big.Int, count int) ([]*Privat
 }
 
 // CheckKey verifies the SDH equation e(A, w·g2^{grp+x}) = e(g1, g2),
-// i.e. that the private key is a well-formed member key for pk.
+// i.e. that the private key is a well-formed member key for pk. It is
+// tested as the product e(A, w·g2^{grp+x}) · e(g1^{−1}, g2) = 1.
 func CheckKey(pk *PublicKey, key *PrivateKey) error {
 	s := new(big.Int).Add(key.Grp, key.X)
 	s.Mod(s, bn256.Order)
 	rhs := new(bn256.G2).ScalarBaseMult(s)
 	rhs.Add(rhs, pk.W)
-	got := bn256.Pair(key.A, rhs)
-	if !got.Equal(pk.egg) {
+	negG1 := new(bn256.G1).Neg(new(bn256.G1).Base())
+	if !bn256.PairingCheck([]*bn256.G1{key.A, negG1}, []*bn256.G2{rhs, new(bn256.G2).Base()}) {
 		return ErrBadKey
 	}
 	return nil

@@ -45,10 +45,6 @@ func SignerMatchesKey(pk *PublicKey, msg []byte, sig *Signature, key *PrivateKey
 // for the audit protocol in the core layer, which re-derives (û, v̂) from a
 // logged authentication transcript.
 func BlindTokenCheck(t1, t2 *bn256.G1, uhat, vhat *bn256.G2, tok *RevocationToken) bool {
-	quot := new(bn256.G1).Neg(tok.A)
-	quot.Add(t2, quot)
-	acc := bn256.Miller(quot, uhat)
-	t1Neg := new(bn256.G1).Neg(t1)
-	acc.Add(acc, bn256.Miller(t1Neg, vhat))
-	return acc.Finalize().IsOne()
+	found, _ := sweep(t1, t2, bn256.PrepareCheckG2(uhat), bn256.PrepareCheckG2(vhat), []*RevocationToken{tok}, 1)
+	return found
 }

@@ -2,7 +2,9 @@ package sgs
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/peace-mesh/peace/internal/bn256"
 )
@@ -11,10 +13,9 @@ import (
 // one of the listed (revoked) keys, and if so at which index. It implements
 // the paper's Eq.3: token A matches iff e(T2/A, û) = e(T1, v̂).
 //
-// The Miller value of the (T1, v̂) side is computed once and shared across
-// all tokens, and the lines of the fixed û side are prepared once, so each
-// token costs one (cheapened) Miller loop plus one final exponentiation
-// (the paper charges two pairings per token).
+// It runs the shared sweep kernel on one worker: each token costs one
+// check-schedule Miller loop plus one final exponentiation (the paper
+// charges two pairings per token).
 func IsRevoked(pk *PublicKey, msg []byte, sig *Signature, tokens []*RevocationToken) (bool, int) {
 	revoked, idx, _ := isRevoked(pk, msg, sig, tokens, nil)
 	return revoked, idx
@@ -40,27 +41,92 @@ func isRevoked(pk *PublicKey, msg []byte, sig *Signature, tokens []*RevocationTo
 	return revoked, idx, *counts
 }
 
-// isRevokedWithBases runs the Eq.3 scan against pre-derived bases û, v̂.
+// isRevokedWithBases runs the Eq.3 scan against pre-derived bases û, v̂
+// on one worker, counting two pairings per token tested (the paper's
+// convention) up to the first match.
 func isRevokedWithBases(sig *Signature, uhat, vhat *bn256.G2, tokens []*RevocationToken, ct counter) (bool, int) {
 	if len(tokens) == 0 {
 		return false, -1
 	}
+	revoked, idx := sweep(sig.T1, sig.T2, bn256.PrepareCheckG2(uhat), bn256.PrepareCheckG2(vhat), tokens, 1)
+	tested := len(tokens)
+	if revoked {
+		tested = idx + 1
+	}
+	ct.pairing(2 * tested)
+	return revoked, idx
+}
 
-	// Shared right side: e(T1, v̂)^(−1) as an un-finalized Miller value,
-	// and the û line coefficients prepared once for the whole list.
-	t1Neg := new(bn256.G1).Neg(sig.T1)
-	mRight := bn256.Miller(t1Neg, vhat)
-	uhatPrep := bn256.PrepareG2(uhat)
+// sweep is the one Eq.3 kernel behind every revocation, audit and trace
+// test: token A matches iff e(T2/A, û) · e(T1, v̂)⁻¹ = 1. It is an
+// identity test, so it runs on the bn256 check schedule. The e(T1, v̂)⁻¹
+// Miller value is computed once and shared read-only by every worker;
+// each token then costs one check Miller loop against û's lines and one
+// final exponentiation. Workers are clamped to [1, min(GOMAXPROCS,
+// len(tokens))] and take tokens in index order; the smallest matching
+// index is returned.
+func sweep(t1, t2 *bn256.G1, uhat, vhat *bn256.CheckG2, tokens []*RevocationToken, workers int) (bool, int) {
+	if len(tokens) == 0 {
+		return false, -1
+	}
+	mRight := vhat.Miller(new(bn256.G1).Neg(t1))
 
-	for i, tok := range tokens {
-		quot := new(bn256.G1).Neg(tok.A)
-		quot.Add(sig.T2, quot) // T2/A in multiplicative notation
-		acc := uhatPrep.Miller(quot)
-		acc.Add(acc, mRight)
-		ct.pairing(2) // paper convention: two pairings per token test
-		if acc.Finalize().IsOne() {
-			return true, i
+	// More workers than cores only adds scheduler churn on this CPU-bound
+	// loop; more workers than tokens leaves goroutines with nothing to do.
+	if procs := runtime.GOMAXPROCS(0); workers > procs {
+		workers = procs
+	}
+	if workers > len(tokens) {
+		workers = len(tokens)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+
+	n := int64(len(tokens))
+	var found atomic.Int64
+	found.Store(n)
+	var next atomic.Int64
+	scan := func() {
+		// Per-worker scratch point, reused across every token this
+		// worker examines instead of allocating one per token.
+		quot := new(bn256.G1)
+		for {
+			i := next.Add(1) - 1
+			// Indices are dispensed in order and found only decreases,
+			// so skipping i ≥ found never skips a smaller match.
+			if i >= n || i >= found.Load() {
+				return
+			}
+			quot.Neg(tokens[i].A)
+			quot.Add(t2, quot) // T2/A in multiplicative notation
+			acc := uhat.Miller(quot)
+			if acc.Mul(acc, mRight).IsOne() {
+				for {
+					cur := found.Load()
+					if i >= cur || found.CompareAndSwap(cur, i) {
+						break
+					}
+				}
+				return
+			}
 		}
+	}
+	if workers == 1 {
+		scan()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				scan()
+			}()
+		}
+		wg.Wait()
+	}
+	if idx := found.Load(); idx < n {
+		return true, int(idx)
 	}
 	return false, -1
 }

@@ -22,14 +22,6 @@ type Signature struct {
 	SDelta *big.Int
 }
 
-// generators bundles the derived bases: u, v in G1 for the signer and
-// their Diffie–Hellman-correlated counterparts û, v̂ in G2 for revocation
-// checks (u = ψ(û) in the paper's notation).
-type generators struct {
-	u, v       *bn256.G1
-	uhat, vhat *bn256.G2
-}
-
 // hashInput builds an unambiguous (length-prefixed) concatenation.
 func hashInput(tag string, parts ...[]byte) []byte {
 	out := make([]byte, 0, 64)
@@ -44,21 +36,8 @@ func hashInput(tag string, parts ...[]byte) []byte {
 	return out
 }
 
-// deriveGenerators realizes H0 (the paper's Eq.1): hash to two scalars
-// (a, b) and set u = g1^a, v = g1^b, û = g2^a, v̂ = g2^b. Callers that do
-// not need the G2 side (the signer) should use deriveG1Generators.
-func deriveGenerators(pk *PublicKey, mode GeneratorMode, msg []byte, r *big.Int, ct counter) generators {
-	a, b := deriveScalars(pk, mode, msg, r, ct)
-	ct.exp(2)
-	return generators{
-		u:    new(bn256.G1).ScalarBaseMult(a),
-		v:    new(bn256.G1).ScalarBaseMult(b),
-		uhat: new(bn256.G2).ScalarBaseMult(a),
-		vhat: new(bn256.G2).ScalarBaseMult(b),
-	}
-}
-
-// deriveG1Generators derives only the G1 bases u and v (two
+// deriveG1Generators realizes H0 (the paper's Eq.1) on the signer's side:
+// hash to two scalars (a, b) and set u = g1^a, v = g1^b (two
 // exponentiations — the two ψ applications of the paper's accounting).
 func deriveG1Generators(pk *PublicKey, mode GeneratorMode, msg []byte, r *big.Int, ct counter) (u, v *bn256.G1) {
 	a, b := deriveScalars(pk, mode, msg, r, ct)
@@ -67,7 +46,7 @@ func deriveG1Generators(pk *PublicKey, mode GeneratorMode, msg []byte, r *big.In
 }
 
 // deriveG2Generators derives only the G2 bases û and v̂ (needed for
-// revocation checks and audits).
+// revocation checks and audits; u = ψ(û) in the paper's notation).
 func deriveG2Generators(pk *PublicKey, mode GeneratorMode, msg []byte, r *big.Int, ct counter) (uhat, vhat *bn256.G2) {
 	a, b := deriveScalars(pk, mode, msg, r, ct)
 	ct.exp(2)
@@ -100,37 +79,35 @@ func challenge(pk *PublicKey, msg []byte, r *big.Int, t1, t2 *bn256.G1, r1 *bn25
 // Sign produces a group signature on msg under the paper's default
 // per-message generator derivation.
 func Sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte) (*Signature, error) {
-	sig, _, err := sign(rng, pk, key, msg, PerMessageGenerators, nil)
-	return sig, err
+	return sign(rng, pk, key, msg, PerMessageGenerators, nil)
 }
 
 // SignWithMode is Sign with an explicit generator mode.
 func SignWithMode(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode GeneratorMode) (*Signature, error) {
-	sig, _, err := sign(rng, pk, key, msg, mode, nil)
-	return sig, err
+	return sign(rng, pk, key, msg, mode, nil)
 }
 
 // SignCounted is Sign that additionally reports the operation counts.
 func SignCounted(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte) (*Signature, OpCounts, error) {
 	var counts OpCounts
-	sig, _, err := sign(rng, pk, key, msg, PerMessageGenerators, &counts)
+	sig, err := sign(rng, pk, key, msg, PerMessageGenerators, &counts)
 	return sig, counts, err
 }
 
-func sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode GeneratorMode, counts *OpCounts) (*Signature, generators, error) {
+func sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode GeneratorMode, counts *OpCounts) (*Signature, error) {
 	ct := counter{counts}
 
 	// Step 2.2.1: nonce r and base derivation (u, v) ← ψ(H0(...)).
 	r, err := bn256.RandomScalar(rng)
 	if err != nil {
-		return nil, generators{}, fmt.Errorf("sgs: sample r: %w", err)
+		return nil, fmt.Errorf("sgs: sample r: %w", err)
 	}
 	u, v := deriveG1Generators(pk, mode, msg, r, ct) // 2 exps
 
 	// Step 2.2.2: linear encryption of A under (u, v).
 	alpha, err := bn256.RandomScalar(rng)
 	if err != nil {
-		return nil, generators{}, fmt.Errorf("sgs: sample α: %w", err)
+		return nil, fmt.Errorf("sgs: sample α: %w", err)
 	}
 	t1 := new(bn256.G1).ScalarMult(u, alpha) // exp 3
 	ct.exp(1)
@@ -145,15 +122,15 @@ func sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode Genera
 
 	rAlpha, err := bn256.RandomScalar(rng)
 	if err != nil {
-		return nil, generators{}, err
+		return nil, err
 	}
 	rX, err := bn256.RandomScalar(rng)
 	if err != nil {
-		return nil, generators{}, err
+		return nil, err
 	}
 	rDelta, err := bn256.RandomScalar(rng)
 	if err != nil {
-		return nil, generators{}, err
+		return nil, err
 	}
 
 	// Step 2.2.3: helper values.
@@ -162,21 +139,24 @@ func sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode Genera
 	ct.exp(1)
 
 	// R2 = e(T2, g2)^{r_x} · e(v, w)^{−r_α} · e(v, g2)^{−r_δ}
-	//    = e(T2, g2)^{r_x} · e(v, w^{−r_α} · g2^{−r_δ}),
-	// two pairings as in the paper's accounting.
+	//    = e(T2^{r_x} · v^{−r_δ}, g2) · e(v^{−r_α}, w):
+	// every exponent moves onto a G1 side, so both pairings run against
+	// the public key's prepared g2 and w lines with one shared squaring
+	// chain and one final exponentiation. By bilinearity R2 is the same
+	// GT element as the paper's form, byte for byte.
 	negRAlpha := new(big.Int).Sub(bn256.Order, rAlpha)
 	negRDelta := new(big.Int).Sub(bn256.Order, rDelta)
-	combined := pk.wTab().Mul(new(bn256.G2), negRAlpha) // exp 6 (multi-exp)
-	combined.Add(combined, new(bn256.G2).ScalarBaseMult(negRDelta))
+	lhsW := new(bn256.G1).ScalarMult(v, negRAlpha) // exp 6
 	ct.exp(1)
-
-	r2 := bn256.Pair(t2, new(bn256.G2).Base()) // pairing 1
-	r2.ScalarMult(r2, rX)                      // exp 7
-	ct.pairing(1)
+	lhsG2 := new(bn256.G1).ScalarMult(t2, rX) // exp 7 (multi-exp)
+	lhsG2.Add(lhsG2, new(bn256.G1).ScalarMult(v, negRDelta))
 	ct.exp(1)
-	r2b := bn256.Pair(v, combined) // pairing 2
-	ct.pairing(1)
-	r2.Add(r2, r2b)
+	g2Lines, wLines := pk.lines()
+	r2 := bn256.MillerCombined(
+		[]*bn256.PreparedG2{g2Lines, wLines},
+		[]*bn256.G1{lhsG2, lhsW},
+	).Finalize()
+	ct.pairing(2)
 
 	// R3 = T1^{r_x} · u^{−r_δ} (one multi-exp).
 	r3 := new(bn256.G1).ScalarMult(t1, rX) // exp 8 (multi-exp)
@@ -209,5 +189,5 @@ func sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode Genera
 		SX:     sX,
 		SDelta: sDelta,
 	}
-	return sig, generators{u: u, v: v}, nil
+	return sig, nil
 }

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestSweepDifferential is the differential pin between the three
-// revocation-check implementations: the sequential reference scan
-// (IsRevoked), the parallel sweep (SweepURLWorkers at several worker
+// TestSweepDifferential is the differential pin between the plain-ate
+// reference scan (referenceIsRevoked) and every production revocation
+// check, all of which run the check-schedule sweep kernel: the sequential
+// scan (IsRevoked), the parallel sweep (SweepURLWorkers at several worker
 // counts), and the epoch-cached SweepState. All must agree on the
 // (revoked, index) verdict in both signature modes, including the
 // empty-list, first-token, last-token and not-listed cases.
@@ -48,12 +49,16 @@ func TestSweepDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				wantRevoked, wantIdx := IsRevoked(pk, msg, sig, tc.tokens)
+				wantRevoked, wantIdx := referenceIsRevoked(pk, msg, sig, tc.tokens)
+				if gotRevoked, gotIdx := IsRevoked(pk, msg, sig, tc.tokens); gotRevoked != wantRevoked || gotIdx != wantIdx {
+					t.Errorf("IsRevoked = (%v,%d), reference = (%v,%d)",
+						gotRevoked, gotIdx, wantRevoked, wantIdx)
+				}
 
 				for _, w := range workerCounts {
 					gotRevoked, gotIdx := ver.SweepURLWorkers(msg, sig, tc.tokens, w)
 					if gotRevoked != wantRevoked || gotIdx != wantIdx {
-						t.Errorf("SweepURLWorkers(%d) = (%v,%d), IsRevoked = (%v,%d)",
+						t.Errorf("SweepURLWorkers(%d) = (%v,%d), reference = (%v,%d)",
 							w, gotRevoked, gotIdx, wantRevoked, wantIdx)
 					}
 				}
@@ -62,13 +67,13 @@ func TestSweepDifferential(t *testing.T) {
 				st.Update(1, tc.tokens)
 				gotRevoked, gotIdx := st.Check(msg, sig)
 				if gotRevoked != wantRevoked || gotIdx != wantIdx {
-					t.Errorf("SweepState.Check = (%v,%d), IsRevoked = (%v,%d)",
+					t.Errorf("SweepState.Check = (%v,%d), reference = (%v,%d)",
 						gotRevoked, gotIdx, wantRevoked, wantIdx)
 				}
 				for _, w := range workerCounts {
 					gotRevoked, gotIdx := st.CheckWorkers(msg, sig, w)
 					if gotRevoked != wantRevoked || gotIdx != wantIdx {
-						t.Errorf("SweepState.CheckWorkers(%d) = (%v,%d), IsRevoked = (%v,%d)",
+						t.Errorf("SweepState.CheckWorkers(%d) = (%v,%d), reference = (%v,%d)",
 							w, gotRevoked, gotIdx, wantRevoked, wantIdx)
 					}
 				}

@@ -775,7 +775,11 @@ func (s *Server) handleAccessRequest(l *shardLoop, m *core.AccessRequest, addr n
 			return
 		}
 		s.replies.fulfill(sid, frame)
+		// This goroutine runs outside the read loop, whose per-batch
+		// Flush has long passed: flush now rather than leave the reply
+		// waiting out FlushDelay in the spooler.
 		l.eg.Queue(frame, addr)
+		l.eg.Flush()
 	}()
 }
 

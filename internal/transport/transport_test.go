@@ -90,6 +90,42 @@ func TestHandshakeOverUDP(t *testing.T) {
 	}
 }
 
+// TestAttachReplyIsFlushed pins that the M.3 reply, produced on a
+// goroutine outside the read loop, is flushed as soon as it is queued
+// rather than waiting out the egress spooler's FlushDelay. The client's
+// retransmit timer is set beyond the delay so a retransmission cannot
+// rescue an unflushed reply either.
+func TestAttachReplyIsFlushed(t *testing.T) {
+	flushDelay := 500 * time.Millisecond
+	if raceEnabled {
+		// The race detector slows the attach's pairing work about tenfold.
+		flushDelay = 3 * time.Second
+	}
+	ln, err := NewLocalNetwork(core.Config{}, "MR-0", "grp-0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(mustListen(t), ln.Router, ServerConfig{FlushDelay: flushDelay})
+	defer srv.Close()
+
+	conn := mustListen(t)
+	defer conn.Close()
+	cfg := testClientConfig()
+	cfg.RetransmitTimeout = 4 * flushDelay
+	cfg.MaxTimeout = 4 * flushDelay
+	cl := NewClient(conn, srv.Addr(), ln.Users[0], cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	start := time.Now()
+	if _, err := cl.Attach(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= flushDelay/2 {
+		t.Fatalf("attach took %v with FlushDelay %v: the M.3 reply waited in the spooler", took, flushDelay)
+	}
+}
+
 // TestHandshakeSurvivesLoss wraps both directions in a 25%-loss link and
 // expects every session to establish via retransmission.
 func TestHandshakeSurvivesLoss(t *testing.T) {
