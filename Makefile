@@ -8,8 +8,8 @@ all: build test
 
 # ci is the full gate: static checks, build, tests, the race detector
 # over every package with concurrent paths (batch verifier, ingest queue,
-# transport datapath, mesh forwarding, relay), and a short fuzz smoke of
-# every wire-facing decoder.
+# transport datapath, mesh forwarding, relay), a short fuzz smoke of
+# every wire-facing decoder, and every meshd acceptance drill.
 ci:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
@@ -21,6 +21,8 @@ ci:
 	$(GO) test -race ./internal/core/ ./internal/mesh/ ./internal/anonrelay/ ./internal/sgs/ ./internal/transport/ ./internal/transport/batchio/ ./internal/bn256/ ./internal/chaos/ ./internal/backbone/ ./internal/metrics/ ./internal/puzzle/ ./internal/revocation/
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz
+	$(MAKE) meshd-loopback
+	$(MAKE) meshd-drill
 	$(MAKE) chaos-soak
 	$(MAKE) metro-soak
 	$(MAKE) attack-soak

@@ -49,8 +49,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -250,17 +248,18 @@ func runServe(listen, provisionPath string, users, shards int, statsEvery, durat
 	}
 }
 
-// clientReport is the JSON summary client mode prints on exit.
+// clientReport is the JSON summary client mode prints on exit: the wave
+// report without the server-side counters a remote client cannot see.
 type clientReport struct {
-	Users             int      `json:"users"`
-	Established       int64    `json:"established"`
-	Failed            int64    `json:"failed"`
-	ElapsedNs         int64    `json:"elapsed_ns"`
-	HandshakesPerSec  float64  `json:"handshakes_per_sec"`
-	ClientRetransmits int64    `json:"client_retransmits"`
-	ClientTimeouts    int64    `json:"client_timeouts"`
-	DatagramsDropped  int64    `json:"datagrams_dropped"`
-	Errors            []string `json:"errors,omitempty"`
+	Users             int           `json:"users"`
+	Established       int           `json:"established"`
+	Failed            int           `json:"failed"`
+	Elapsed           time.Duration `json:"elapsed_ns"`
+	HandshakesPerSec  float64       `json:"handshakes_per_sec"`
+	ClientRetransmits int64         `json:"client_retransmits"`
+	ClientTimeouts    int64         `json:"client_timeouts"`
+	DatagramsDropped  int64         `json:"datagrams_dropped"`
+	Errors            []string      `json:"errors,omitempty"`
 }
 
 func runClient(addr, provisionPath string, users int, loss float64, seed int64, group core.GroupID, timeout time.Duration) error {
@@ -272,78 +271,35 @@ func runClient(addr, provisionPath string, users int, loss float64, seed int64, 
 	if err != nil {
 		return err
 	}
-	if len(provisioned) < users {
-		return fmt.Errorf("provision file has %d users, -users %d requested", len(provisioned), users)
-	}
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return err
 	}
-
-	rep := clientReport{Users: users}
-	var mu sync.Mutex
-	var established, failed atomic.Int64
-	var retransmits, timeouts, dropped atomic.Int64
-	cfg := transport.ClientConfig{Group: group}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < users; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := net.ListenPacket("udp", ":0")
-			if err != nil {
-				failed.Add(1)
-				return
-			}
-			defer conn.Close()
-			cconn := net.PacketConn(conn)
-			if loss > 0 {
-				lossy := transport.NewLossyConn(conn, loss, seed+int64(i)+1)
-				cconn = lossy
-				defer func() { dropped.Add(lossy.Dropped()) }()
-			}
-			cl := transport.NewClient(cconn, raddr, provisioned[i], cfg)
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			defer cancel()
-			_, err = cl.Attach(ctx)
-			retransmits.Add(cl.Stats().Retransmits())
-			timeouts.Add(cl.Stats().Timeouts())
-			if err != nil {
-				failed.Add(1)
-				mu.Lock()
-				rep.Errors = append(rep.Errors, fmt.Sprintf("user %d: %v", i, err))
-				mu.Unlock()
-				return
-			}
-			established.Add(1)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep.Established = established.Load()
-	rep.Failed = failed.Load()
-	rep.ElapsedNs = elapsed.Nanoseconds()
-	rep.ClientRetransmits = retransmits.Load()
-	rep.ClientTimeouts = timeouts.Load()
-	rep.DatagramsDropped = dropped.Load()
-	if elapsed > 0 {
-		rep.HandshakesPerSec = float64(rep.Established) / elapsed.Seconds()
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	rep, err := chaos.RunClientWave(raddr, provisioned, chaos.LoopbackConfig{
+		Users:         users,
+		Loss:          loss,
+		Seed:          seed,
+		AttachTimeout: timeout,
+		Client:        transport.ClientConfig{Group: group},
+	})
+	if err != nil {
 		return err
 	}
-	if rep.Failed > 0 {
-		return fmt.Errorf("%d/%d handshakes failed", rep.Failed, users)
-	}
-	return nil
+	return printReport(clientReport{
+		Users:             rep.Users,
+		Established:       rep.Established,
+		Failed:            rep.Failed,
+		Elapsed:           rep.Elapsed,
+		HandshakesPerSec:  rep.HandshakesPerSec,
+		ClientRetransmits: rep.ClientRetransmits,
+		ClientTimeouts:    rep.ClientTimeouts,
+		DatagramsDropped:  rep.DatagramsDropped,
+		Errors:            rep.Errors,
+	}, rep.Failed > 0, "%d/%d handshakes failed", rep.Failed, users)
 }
 
 func runLoopback(users int, loss float64, seed int64, timeout time.Duration) error {
-	rep, err := transport.RunLoopback(transport.LoopbackConfig{
+	rep, err := chaos.RunLoopback(chaos.LoopbackConfig{
 		Users:         users,
 		Loss:          loss,
 		Seed:          seed,
@@ -352,13 +308,8 @@ func runLoopback(users int, loss float64, seed int64, timeout time.Duration) err
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	if err := printReport(rep, rep.Failed > 0, "%d/%d handshakes failed", rep.Failed, rep.Users); err != nil {
 		return err
-	}
-	if rep.Failed > 0 {
-		return fmt.Errorf("%d/%d handshakes failed", rep.Failed, rep.Users)
 	}
 	log.Printf("meshd: %d/%d handshakes established at %.0f%% loss (%.1f/s, %d retransmits, %d datagrams dropped)",
 		rep.Established, rep.Users, loss*100, rep.HandshakesPerSec, rep.ClientRetransmits, rep.DatagramsDropped)
@@ -369,7 +320,7 @@ func runLoopback(users int, loss float64, seed int64, timeout time.Duration) err
 // -revoke tokens between rounds, then prints the convergence report:
 // clients should ride deltas after their first full snapshot.
 func runDrill(users, rounds, revoke int, timeout time.Duration) error {
-	rep, err := transport.RunRevocationDrill(transport.DrillConfig{
+	rep, err := chaos.RunRevocationDrill(chaos.DrillConfig{
 		Users:          users,
 		Rounds:         rounds,
 		RevokePerRound: revoke,
@@ -378,16 +329,25 @@ func runDrill(users, rounds, revoke int, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
+	if err := printReport(rep, len(rep.Errors) > 0, "%d attachment failures", len(rep.Errors)); err != nil {
+		return err
+	}
+	log.Printf("meshd: %d attachments over %d epochs converged with %d delta fetches, %d snapshot fetches (max %d full snapshots per client)",
+		rep.Established, rep.FinalURLEpoch, rep.DeltaFetches, rep.SnapshotFetches, rep.SnapshotsPerClientMax)
+	return nil
+}
+
+// printReport writes a run's report to stdout, indented; a failed run
+// then becomes the mode's error.
+func printReport(rep any, failed bool, format string, args ...any) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
 		return err
 	}
-	if len(rep.Errors) > 0 {
-		return fmt.Errorf("%d attachment failures", len(rep.Errors))
+	if failed {
+		return fmt.Errorf(format, args...)
 	}
-	log.Printf("meshd: %d attachments over %d epochs converged with %d delta fetches, %d snapshot fetches (max %d full snapshots per client)",
-		rep.Established, rep.FinalURLEpoch, rep.DeltaFetches, rep.SnapshotFetches, rep.SnapshotsPerClientMax)
 	return nil
 }
 
@@ -405,13 +365,8 @@ func runChaos(users int, seed int64, drop, corrupt, dup float64, storm, partitio
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	if err := printReport(rep, rep.Failed(), "chaos soak violated %d invariants", len(rep.Violations)); err != nil {
 		return err
-	}
-	if rep.Failed() {
-		return fmt.Errorf("chaos soak violated %d invariants", len(rep.Violations))
 	}
 	log.Printf("meshd: chaos soak clean: %d/%d clients re-established across restart+partition (%d reattaches, %d keepalives acked, %d faults injected)",
 		rep.Established, rep.Users, rep.Reattaches, rep.KeepalivesAcked,
@@ -435,13 +390,8 @@ func runAttack(users, flooders, sources int, seed int64, storm time.Duration, ra
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	if err := printReport(rep, rep.Failed(), "attack soak violated %d invariants", len(rep.Violations)); err != nil {
 		return err
-	}
-	if rep.Failed() {
-		return fmt.Errorf("attack soak violated %d invariants", len(rep.Violations))
 	}
 	log.Printf("meshd: attack soak clean: %d/%d legit clients alive through a %d-datagram flood; difficulty %d->%d->0 (decayed in %v), %d solution replays refused",
 		rep.LegitAlive, rep.LegitUsers, rep.AttackerDatagrams,
@@ -462,9 +412,6 @@ type metroLine struct {
 // injection, a mid-wave link partition and the closing anti-rollback
 // probe. Exits non-zero on any session-continuity violation.
 func runMetro(routers, users, moves int, seed int64, soak bool, partition time.Duration) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-
 	if soak {
 		rep, err := chaos.RunMetroSoak(chaos.MetroSoakConfig{
 			Routers:      routers,
@@ -477,11 +424,8 @@ func runMetro(routers, users, moves int, seed int64, soak bool, partition time.D
 		if err != nil {
 			return err
 		}
-		if err := enc.Encode(rep); err != nil {
+		if err := printReport(rep, rep.Failed(), "metro soak violated %d invariants", len(rep.Violations)); err != nil {
 			return err
-		}
-		if rep.Failed() {
-			return fmt.Errorf("metro soak violated %d invariants", len(rep.Violations))
 		}
 		log.Printf("meshd: metro soak clean: %d users × %d moves over %d routers, %d handoffs, %d frames relayed, %d/%d rollbacks refused",
 			rep.Users, rep.Moves, rep.Routers, rep.Wave.HandoffsIn, rep.Wave.FramesRelayed,
@@ -513,11 +457,8 @@ func runMetro(routers, users, moves int, seed int64, soak bool, partition time.D
 	for _, s := range m.Servers {
 		line.Routers = append(line.Routers, s.Stats().Snapshot())
 	}
-	if err := enc.Encode(line); err != nil {
+	if err := printReport(line, len(rep.Violations) > 0, "metro wave violated %d invariants", len(rep.Violations)); err != nil {
 		return err
-	}
-	if len(rep.Violations) > 0 {
-		return fmt.Errorf("metro wave violated %d invariants", len(rep.Violations))
 	}
 	log.Printf("meshd: metro wave clean: %d pairings, %d ticket handoffs, %d frames relayed, %d delivered",
 		rep.Pairings, rep.Resumed, rep.FramesRelayed, rep.Delivered)

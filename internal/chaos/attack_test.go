@@ -16,6 +16,7 @@ import (
 // bound once the storm stops. `make attack-soak` runs the full
 // configuration; short mode and the race detector shrink it.
 func TestAttackSoak(t *testing.T) {
+	defer checkGoroutines(t)()
 	cfg := AttackConfig{
 		LegitUsers: 16,
 		Seed:       42,
@@ -46,5 +47,47 @@ func TestAttackSoak(t *testing.T) {
 		rep.InitialURLEpoch, rep.FinalURLEpoch)
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violated: %s", v)
+	}
+}
+
+// TestAttackConfigRange pins the spoofed address space: attacker fleets
+// that would need an address outside 127.0.1.1–127.0.254.254 are a
+// configuration error, refused before anything binds, and never
+// mistaken for a host that cannot bind secondary loopback addresses.
+func TestAttackConfigRange(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func() error
+		ok   bool
+	}{
+		{"sources at the block size", func() error { return AttackConfig{SpoofedSources: 254}.withDefaults().validate() }, true},
+		{"sources past the block", func() error { return AttackConfig{SpoofedSources: 255}.withDefaults().validate() }, false},
+		{"flooders leaving the replayer a block", func() error { return AttackConfig{Flooders: 253}.withDefaults().validate() }, true},
+		{"flooders taking the replayer's block", func() error { return AttackConfig{Flooders: 254}.withDefaults().validate() }, false},
+		{"replayers at the block size", func() error { return AttackConfig{Replayers: 254}.withDefaults().validate() }, true},
+		{"replayers past the block", func() error { return AttackConfig{Replayers: 255}.withDefaults().validate() }, false},
+		{"calm latency baseline", func() error { return AttackLatencyConfig{}.withDefaults().validate() }, true},
+		{"negative intensity", func() error { return AttackLatencyConfig{Intensity: -1}.withDefaults().validate() }, false},
+		{"intensity filling every block", func() error { return AttackLatencyConfig{Intensity: 254 * 200}.withDefaults().validate() }, true},
+		{"intensity past the last block", func() error { return AttackLatencyConfig{Intensity: 254*200 + 1}.withDefaults().validate() }, false},
+		{"soak with 300 sources", func() error {
+			_, err := RunAttackSoak(AttackConfig{SpoofedSources: 300})
+			return err
+		}, false},
+		{"latency sweep past the last block", func() error {
+			_, err := RunAttackLatency(AttackLatencyConfig{Intensity: 254*200 + 1})
+			return err
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			if tc.ok != (err == nil) {
+				t.Fatalf("ok = %v, got err %v", tc.ok, err)
+			}
+			if errors.Is(err, ErrSpoofedBindUnsupported) {
+				t.Fatalf("config error blamed on the host: %v", err)
+			}
+		})
 	}
 }

@@ -3,9 +3,6 @@ package chaos
 import (
 	"context"
 	"fmt"
-	mrand "math/rand"
-	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,24 +38,16 @@ type AttackLatencyConfig struct {
 }
 
 func (c AttackLatencyConfig) withDefaults() AttackLatencyConfig {
-	if c.Samples < 1 {
-		c.Samples = 12
-	}
+	setDefault(&c.Samples, 12)
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if !c.Policy.Enabled {
 		c.Policy = AttackConfig{}.withDefaults().Policy
 	}
-	if c.RateLimitPerSec <= 0 {
-		c.RateLimitPerSec = 50
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 500 * time.Millisecond
-	}
-	if c.AttachTimeout <= 0 {
-		c.AttachTimeout = 30 * time.Second
-	}
+	setDefault(&c.RateLimitPerSec, 50)
+	setDefault(&c.Warmup, 500*time.Millisecond)
+	setDefault(&c.AttachTimeout, 30*time.Second)
 	return c
 }
 
@@ -79,72 +68,69 @@ type AttackLatencyReport struct {
 	PuzzlesVerified int64
 }
 
+// validate rejects intensities outside the spoofable address space:
+// source i floods from 127.0.<1+i/200>.<1+i%200>.
+func (c AttackLatencyConfig) validate() error {
+	if c.Intensity < 0 || c.Intensity > spoofBlock*200 {
+		return fmt.Errorf("chaos: intensity %d outside [0, %d]", c.Intensity, spoofBlock*200)
+	}
+	return nil
+}
+
 // RunAttackLatency measures legitimate-client attach latency at one
 // attack intensity: Intensity spoofed sources spray garbage and
 // skeleton M.2s at the ingress while Samples sequential attaches are
 // timed over real UDP loopback.
 func RunAttackLatency(cfg AttackLatencyConfig) (*AttackLatencyReport, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	rep := &AttackLatencyReport{Intensity: cfg.Intensity, Samples: cfg.Samples}
-
-	const fleet = 4 // credentialed users the samples cycle through
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-E19", "grp-e19", fleet)
+	f, err := newFleet(fleetSpec{
+		// The samples cycle through four credentialed users.
+		router: "MR-E19", group: "grp-e19", users: 4, dos: cfg.Policy,
+		server: transport.ServerConfig{
+			BootEpoch:         1,
+			RateLimitPerSec:   cfg.RateLimitPerSec,
+			DoSSampleInterval: 25 * time.Millisecond,
+		},
+		client: soakClient, clientSeed: cfg.Seed * 4_000_037,
+		// The sample is time-to-session, attempts included: under a heavy
+		// flood single attach attempts can exhaust their retransmit budget
+		// to kernel-level receive drops, and a real client simply tries
+		// again — the latency the row reports is what that client
+		// experiences.
+		attachTimeout: cfg.AttachTimeout, retry: true,
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	ln.Router.SetDoSPolicy(cfg.Policy)
-	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := transport.NewServer(serverConn, ln.Router, transport.ServerConfig{
-		BootEpoch:         1,
-		RateLimitPerSec:   cfg.RateLimitPerSec,
-		DoSSampleInterval: 25 * time.Millisecond,
-	})
-	defer srv.Close()
-	addr := srv.Addr()
+	defer f.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var flood sync.WaitGroup
-	var floodDatagrams atomic.Int64
+	var flooding sync.WaitGroup
+	defer func() {
+		cancel()
+		flooding.Wait()
+	}()
+	var sent atomic.Int64
 	for i := 0; i < cfg.Intensity; i++ {
-		conn, err := listenSpoofed(i/200, i%200)
+		conns, err := listenSpoofed(i/200, i%200, 1)
 		if err != nil {
-			cancel()
-			flood.Wait()
 			return nil, err
 		}
-		flood.Add(1)
-		go func(i int, conn net.PacketConn) {
-			defer flood.Done()
-			defer conn.Close()
-			prng := mrand.New(mrand.NewSource(cfg.Seed*3_000_017 + int64(i)))
-			garbage := garbageAccessFrame()
+		flooding.Add(1)
+		go func() {
+			defer flooding.Done()
 			// Paced at ~2000 datagrams/s per source, so intensity is a
 			// controlled multiple of the legitimate handshake rate (each
 			// source still exceeds its own rate-limit bucket ~40×). An
 			// unpaced writer would saturate the kernel receive buffer and
 			// measure socket-lottery starvation instead of the defense.
-			for n := 0; ctx.Err() == nil; n++ {
-				frame := garbage
-				if n%2 == 1 {
-					frame = skeletonAccessFrame(prng)
-				}
-				if _, err := conn.WriteTo(frame, addr); err == nil {
-					floodDatagrams.Add(1)
-				}
-				if n%2 == 1 {
-					time.Sleep(time.Millisecond)
-				}
-			}
-		}(i, conn)
+			flood(ctx, f.addr, conns, cfg.Seed*3_000_017+int64(i), 2, &sent)
+		}()
 	}
-	defer func() {
-		cancel()
-		flood.Wait()
-	}()
 	if cfg.Intensity > 0 {
 		time.Sleep(cfg.Warmup)
 	}
@@ -152,47 +138,21 @@ func RunAttackLatency(cfg AttackLatencyConfig) (*AttackLatencyReport, error) {
 	latencies := make([]time.Duration, 0, cfg.Samples)
 	var lastErr error
 	for i := 0; i < cfg.Samples; i++ {
-		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		cl := transport.NewClient(conn, addr, ln.Users[i%fleet], transport.ClientConfig{
-			RetransmitTimeout: 60 * time.Millisecond,
-			MaxTimeout:        time.Second,
-			MaxRetries:        12,
-			Seed:              cfg.Seed*4_000_037 + int64(i),
-		})
-		// The sample is time-to-session, attempts included: under a heavy
-		// flood single attach attempts can exhaust their retransmit budget
-		// to kernel-level receive drops, and a real client simply tries
-		// again — the latency the row reports is what that client
-		// experiences.
-		sctx, scancel := context.WithTimeout(ctx, cfg.AttachTimeout)
-		start := time.Now()
-		for {
-			if _, err = cl.Attach(sctx); err == nil || sctx.Err() != nil {
-				break
-			}
-		}
-		scancel()
-		if err == nil {
-			latencies = append(latencies, time.Since(start))
+		if a := f.attach(i); a.err == nil {
+			latencies = append(latencies, a.latency)
 			rep.Attached++
 		} else {
-			lastErr = err
+			lastErr = a.err
 		}
-		_ = conn.Close()
-		if d := ln.Router.RequiredDifficulty(); d > rep.PeakDifficulty {
+		if d := f.ln.Router.RequiredDifficulty(); d > rep.PeakDifficulty {
 			rep.PeakDifficulty = d
 		}
 	}
 	if rep.Attached == 0 {
 		return nil, fmt.Errorf("chaos: no attach succeeded at intensity %d: %v", cfg.Intensity, lastErr)
 	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	rep.P50 = latencies[len(latencies)/2]
-	rep.P99 = latencies[(len(latencies)*99)/100]
-	rep.FloodDatagrams = floodDatagrams.Load()
-	rep.PuzzlesVerified = srv.Stats().DoSPuzzlesVerified()
+	rep.P50, rep.P99 = percentiles(latencies)
+	rep.FloodDatagrams = sent.Load()
+	rep.PuzzlesVerified = f.srv.Stats().DoSPuzzlesVerified()
 	return rep, nil
 }

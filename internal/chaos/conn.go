@@ -57,23 +57,47 @@ type Conn struct {
 	rng            *rand.Rand
 	in, out        FaultPlan
 	partitionUntil time.Time
-	// peers holds per-remote-address overrides: on a shared backbone
-	// socket each router-to-router link gets its own fault plan and
-	// partition window, keyed by the peer's address string.
-	peers       map[string]*peerFaults
-	heldWrite   *packet  // reorder: outgoing datagram awaiting its successor
-	heldRead    *packet  // reorder: incoming datagram awaiting its successor
-	pendingRead []packet // duplicates and released reorders to deliver next
+	heldWrite      *packet  // reorder: outgoing datagram awaiting its successor
+	heldRead       *packet  // reorder: incoming datagram awaiting its successor
+	pendingRead    []packet // duplicates and released reorders to deliver next
 
-	// The injection counters are children of one chaos_injected{fault=...}
-	// registry family, so the soak judges (via Counters) and a /metrics
-	// scrape read the same instrument.
+	faultCounters
+}
+
+// faultCounters are the children of one chaos_injected{fault=...}
+// registry family, so the soak judges (via Counters) and a /metrics
+// scrape read the same instrument.
+type faultCounters struct {
 	dropped        *metrics.Counter
 	corrupted      *metrics.Counter
 	duplicated     *metrics.Counter
 	reordered      *metrics.Counter
 	delayed        *metrics.Counter
 	partitionDrops *metrics.Counter
+}
+
+func newFaultCounters(reg *metrics.Registry) faultCounters {
+	vec := reg.CounterVec("chaos_injected", "faults injected by the chaos wrapper", "fault")
+	return faultCounters{
+		dropped:        vec.With("drop"),
+		corrupted:      vec.With("corrupt"),
+		duplicated:     vec.With("duplicate"),
+		reordered:      vec.With("reorder"),
+		delayed:        vec.With("delay"),
+		partitionDrops: vec.With("partition"),
+	}
+}
+
+// load snapshots the counters.
+func (f faultCounters) load() Counters {
+	return Counters{
+		Dropped:        f.dropped.Load(),
+		Corrupted:      f.corrupted.Load(),
+		Duplicated:     f.duplicated.Load(),
+		Reordered:      f.reordered.Load(),
+		Delayed:        f.delayed.Load(),
+		PartitionDrops: f.partitionDrops.Load(),
+	}
 }
 
 // Wrap puts a fault-injecting layer around conn. in and out may differ,
@@ -92,18 +116,12 @@ func WrapInRegistry(conn net.PacketConn, in, out FaultPlan, seed int64, reg *met
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	vec := reg.CounterVec("chaos_injected", "faults injected by the chaos wrapper", "fault")
 	return &Conn{
-		inner:          conn,
-		rng:            rand.New(rand.NewSource(seed)),
-		in:             in,
-		out:            out,
-		dropped:        vec.With("drop"),
-		corrupted:      vec.With("corrupt"),
-		duplicated:     vec.With("duplicate"),
-		reordered:      vec.With("reorder"),
-		delayed:        vec.With("delay"),
-		partitionDrops: vec.With("partition"),
+		inner:         conn,
+		rng:           rand.New(rand.NewSource(seed)),
+		in:            in,
+		out:           out,
+		faultCounters: newFaultCounters(reg),
 	}
 }
 
@@ -113,66 +131,6 @@ func (c *Conn) SetPlans(in, out FaultPlan) {
 	c.mu.Lock()
 	c.in, c.out = in, out
 	c.mu.Unlock()
-}
-
-// peerFaults is one remote address's fault override.
-type peerFaults struct {
-	in, out        FaultPlan
-	partitionUntil time.Time
-}
-
-func (c *Conn) peer(addr string) *peerFaults {
-	if c.peers == nil {
-		c.peers = make(map[string]*peerFaults)
-	}
-	p := c.peers[addr]
-	if p == nil {
-		p = &peerFaults{in: c.in, out: c.out}
-		c.peers[addr] = p
-	}
-	return p
-}
-
-// SetPeerPlans gives traffic to and from one remote address its own
-// fault schedule, overriding the connection-wide plans — a single
-// backbone link of a router that talks to many peers over one socket.
-func (c *Conn) SetPeerPlans(addr string, in, out FaultPlan) {
-	c.mu.Lock()
-	p := c.peer(addr)
-	p.in, p.out = in, out
-	c.mu.Unlock()
-}
-
-// PartitionPeerFor blackholes traffic to and from one remote address for
-// d, starting now, leaving every other link of this socket untouched.
-// Calling it again extends or shortens the window.
-func (c *Conn) PartitionPeerFor(addr string, d time.Duration) {
-	c.mu.Lock()
-	c.peer(addr).partitionUntil = time.Now().Add(d)
-	c.mu.Unlock()
-}
-
-// PeerPartitioned reports whether the per-link partition window of one
-// remote address is currently open.
-func (c *Conn) PeerPartitioned(addr string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p := c.peers[addr]
-	return p != nil && time.Now().Before(p.partitionUntil)
-}
-
-// faultsFor resolves the plan and partition deadline governing one
-// datagram (under mu): the peer override when present, else the
-// connection-wide schedule. The wider of the two partition windows wins.
-func (c *Conn) faultsFor(addr net.Addr) (FaultPlan, FaultPlan, time.Time) {
-	in, out, until := c.in, c.out, c.partitionUntil
-	if p := c.peers[addr.String()]; p != nil {
-		in, out = p.in, p.out
-		if p.partitionUntil.After(until) {
-			until = p.partitionUntil
-		}
-	}
-	return in, out, until
 }
 
 // PartitionFor blackholes the connection in both directions for d,
@@ -191,16 +149,7 @@ func (c *Conn) Partitioned() bool {
 }
 
 // Counters snapshots the injected-fault counters.
-func (c *Conn) Counters() Counters {
-	return Counters{
-		Dropped:        c.dropped.Load(),
-		Corrupted:      c.corrupted.Load(),
-		Duplicated:     c.duplicated.Load(),
-		Reordered:      c.reordered.Load(),
-		Delayed:        c.delayed.Load(),
-		PartitionDrops: c.partitionDrops.Load(),
-	}
-}
+func (c *Conn) Counters() Counters { return c.load() }
 
 // roll draws one uniform variate under mu.
 func (c *Conn) roll() float64 { return c.rng.Float64() }
@@ -226,8 +175,8 @@ func clonePacket(p []byte, addr net.Addr) packet {
 // radio link looks like to the sender.
 func (c *Conn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	c.mu.Lock()
-	_, plan, partitionUntil := c.faultsFor(addr)
-	if time.Now().Before(partitionUntil) {
+	plan := c.out
+	if time.Now().Before(c.partitionUntil) {
 		c.mu.Unlock()
 		c.partitionDrops.Add(1)
 		return len(p), nil
@@ -316,8 +265,8 @@ func (c *Conn) ReadFrom(p []byte) (int, net.Addr, error) {
 		}
 
 		c.mu.Lock()
-		plan, _, partitionUntil := c.faultsFor(addr)
-		if time.Now().Before(partitionUntil) {
+		plan := c.in
+		if time.Now().Before(c.partitionUntil) {
 			c.mu.Unlock()
 			c.partitionDrops.Add(1)
 			continue

@@ -1,10 +1,13 @@
-// Package chaos is the fault-injection harness for the PEACE transport:
-// a deterministic, seeded net.PacketConn wrapper that drops, duplicates,
-// reorders, delays and bit-corrupts datagrams and cuts timed bidirectional
-// partitions, plus a scenario runner that drives a fleet of self-healing
-// clients against a live server through a scripted outage timeline
-// (sustained faults, a mid-run server restart, a partition, a revocation
-// epoch bump) and checks the protocol invariants at the end:
+// Package chaos is the fault-injection and scenario harness for the
+// PEACE transport. Conn is its one fault injector: a deterministic,
+// seeded net.PacketConn wrapper that drops, duplicates, reorders, delays
+// and bit-corrupts datagrams and cuts timed bidirectional partitions.
+// One fleet runner serves a single-router network on UDP loopback and
+// drives clients through it, as one concurrent attach wave or as
+// self-healing loops along a scripted timeline; RunLoopback,
+// RunRevocationDrill, RunSoak, RunRestartSoak, RunAttackSoak and
+// RunAttackLatency are each a short declaration on top of it. Each soak
+// checks the protocol invariants at the end, among them:
 //
 //   - every client re-establishes a session with the final server
 //     incarnation, and both halves of every session agree on keys — no

@@ -1,17 +1,15 @@
-package transport
+package chaos
 
 import (
-	"context"
 	"fmt"
 	"net"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/metrics"
 	"github.com/peace-mesh/peace/internal/revocation"
+	"github.com/peace-mesh/peace/internal/transport"
 )
 
 // LoopbackConfig describes one loopback handshake run: N concurrent users
@@ -24,26 +22,40 @@ type LoopbackConfig struct {
 	// server's and every client's send path (so effective round-trip loss
 	// is higher). Zero disables the lossy wrapper.
 	Loss float64
-	// Seed makes induced loss reproducible. Default 1.
+	// Seed makes induced loss reproducible: the server's link is seeded
+	// Seed, client i's Seed+1+i. Default 1.
 	Seed int64
 	// AttachTimeout bounds one client's whole handshake. Default 30s.
 	AttachTimeout time.Duration
 	// Client and Server tune the endpoints.
-	Client ClientConfig
-	Server ServerConfig
+	Client transport.ClientConfig
+	Server transport.ServerConfig
 }
 
 func (c LoopbackConfig) withDefaults() LoopbackConfig {
-	if c.Users < 1 {
-		c.Users = 16
-	}
+	setDefault(&c.Users, 16)
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.AttachTimeout <= 0 {
-		c.AttachTimeout = 30 * time.Second
+	setDefault(&c.AttachTimeout, 30*time.Second)
+	// One registry for the whole fleet: registration is idempotent, so N
+	// clients share the same counter handles and the report's client
+	// numbers are a single snapshot instead of a hand-rolled sum.
+	if c.Client.Metrics == nil {
+		c.Client.Metrics = metrics.NewRegistry()
 	}
 	return c
+}
+
+// spec is the fleet of a loopback run; the drop-only plan is the lossy
+// radio link, seen by the sender as a successful send.
+func (c LoopbackConfig) spec() fleetSpec {
+	return fleetSpec{
+		router: "MR-0", group: "grp-0", users: c.Users, server: c.Server,
+		serverOut: FaultPlan{Drop: c.Loss}, serverSeed: c.Seed,
+		out: FaultPlan{Drop: c.Loss}, linkSeed: c.Seed + 1,
+		client: c.Client, attachTimeout: c.AttachTimeout,
+	}
 }
 
 // LoopbackReport is the outcome of one loopback run.
@@ -65,7 +77,7 @@ type LoopbackReport struct {
 	// registers into one shared registry, so these counters (and the
 	// attach_latency histogram) aggregate across the whole fleet.
 	Clients metrics.Snapshot `json:"clients"`
-	// DatagramsDropped counts datagrams the lossy wrappers discarded.
+	// DatagramsDropped counts datagrams the lossy links discarded.
 	DatagramsDropped int64 `json:"datagrams_dropped"`
 	// Server holds the router-side transport counters.
 	Server metrics.Snapshot `json:"server"`
@@ -81,120 +93,55 @@ type LoopbackReport struct {
 // success, but individual failures are reported, not fatal.
 func RunLoopback(cfg LoopbackConfig) (*LoopbackReport, error) {
 	cfg = cfg.withDefaults()
-	ln, err := NewLocalNetwork(core.Config{}, "MR-0", "grp-0", cfg.Users)
-	if err != nil {
-		return nil, fmt.Errorf("provision: %w", err)
-	}
-	return RunLoopbackWith(ln, cfg)
-}
-
-// RunLoopbackWith is RunLoopback over an already provisioned network
-// (meshd reuses its network across runs).
-func RunLoopbackWith(n *LocalNetwork, cfg LoopbackConfig) (*LoopbackReport, error) {
-	cfg = cfg.withDefaults()
-	if len(n.Users) < cfg.Users {
-		return nil, fmt.Errorf("loopback: %d users provisioned, %d requested", len(n.Users), cfg.Users)
-	}
-
-	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	f, err := newFleet(cfg.spec(), nil)
 	if err != nil {
 		return nil, err
 	}
-	var serverLossy *LossyConn
-	sconn := net.PacketConn(serverConn)
-	if cfg.Loss > 0 {
-		serverLossy = NewLossyConn(serverConn, cfg.Loss, cfg.Seed)
-		sconn = serverLossy
-	}
-	srv := NewServer(sconn, n.Router, cfg.Server)
-	defer srv.Close()
-	raddr := serverConn.LocalAddr()
+	defer f.Close()
+	rep := f.loopbackWave(cfg)
+	rep.Server = f.srv.Stats().Snapshot()
+	rep.Router = f.ln.Router.Stats()
+	return rep, nil
+}
 
-	type outcome struct {
-		latency time.Duration
-		err     error
+// RunClientWave is RunLoopback's attach wave against a server elsewhere:
+// cfg.Users of the given users attach concurrently to addr, each from
+// its own socket on any local address. cfg.Server is unused, and the
+// report carries no server or router counters.
+func RunClientWave(addr net.Addr, users []*core.User, cfg LoopbackConfig) (*LoopbackReport, error) {
+	cfg = cfg.withDefaults()
+	if len(users) < cfg.Users {
+		return nil, fmt.Errorf("chaos: %d users provisioned, %d requested", len(users), cfg.Users)
 	}
-	outcomes := make([]outcome, cfg.Users)
-	var dropped int64
-	var droppedMu sync.Mutex
+	spec := cfg.spec()
+	spec.bind = ":0"
+	f := remoteFleet(spec, users, addr, nil)
+	defer f.Close()
+	return f.loopbackWave(cfg), nil
+}
 
+// loopbackWave attaches every user once, concurrently, and reports.
+func (f *fleet) loopbackWave(cfg LoopbackConfig) *LoopbackReport {
 	start := time.Now()
-	var wg sync.WaitGroup
-	// One registry for the whole fleet: registration is idempotent, so N
-	// clients share the same counter handles and the report's client
-	// numbers are a single snapshot instead of a hand-rolled sum.
-	ccfg := cfg.Client
-	if ccfg.Metrics == nil {
-		ccfg.Metrics = metrics.NewRegistry()
-	}
-	for i := 0; i < cfg.Users; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-			if err != nil {
-				outcomes[i].err = err
-				return
-			}
-			defer conn.Close()
-			cconn := net.PacketConn(conn)
-			if cfg.Loss > 0 {
-				lossy := NewLossyConn(conn, cfg.Loss, cfg.Seed+int64(i)+1)
-				cconn = lossy
-				defer func() {
-					droppedMu.Lock()
-					dropped += lossy.Dropped()
-					droppedMu.Unlock()
-				}()
-			}
-			cl := NewClient(cconn, raddr, n.Users[i], ccfg)
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.AttachTimeout)
-			defer cancel()
-			t0 := time.Now()
-			_, err = cl.Attach(ctx)
-			outcomes[i] = outcome{latency: time.Since(t0), err: err}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := &LoopbackReport{
-		Users:   cfg.Users,
-		Loss:    cfg.Loss,
-		Elapsed: elapsed,
-		Server:  srv.Stats().Snapshot(),
-		Router:  n.Router.Stats(),
-	}
-	if serverLossy != nil {
-		dropped += serverLossy.Dropped()
-	}
-	rep.DatagramsDropped = dropped
+	attempts := f.wave(0, cfg.Users)
+	rep := &LoopbackReport{Users: cfg.Users, Loss: cfg.Loss, Elapsed: time.Since(start)}
 	var latencies []time.Duration
-	for i, o := range outcomes {
-		if o.err != nil {
+	for i, a := range attempts {
+		if a.err != nil {
 			rep.Failed++
-			rep.Errors = append(rep.Errors, fmt.Sprintf("user %d: %v", i, o.err))
+			rep.Errors = append(rep.Errors, fmt.Sprintf("user %d: %v", i, a.err))
 			continue
 		}
 		rep.Established++
-		latencies = append(latencies, o.latency)
+		latencies = append(latencies, a.latency)
 	}
-	rep.Clients = ccfg.Metrics.Snapshot()
+	rep.P50, rep.P99 = percentiles(latencies)
+	rep.HandshakesPerSec = float64(rep.Established) / rep.Elapsed.Seconds()
+	rep.Clients = cfg.Client.Metrics.Snapshot()
 	rep.ClientRetransmits = rep.Clients.Value("retransmits")
 	rep.ClientTimeouts = rep.Clients.Value("timeouts")
-	if elapsed > 0 {
-		rep.HandshakesPerSec = float64(rep.Established) / elapsed.Seconds()
-	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
-		rep.P50 = latencies[len(latencies)*50/100]
-		p99 := len(latencies) * 99 / 100
-		if p99 >= len(latencies) {
-			p99 = len(latencies) - 1
-		}
-		rep.P99 = latencies[p99]
-	}
-	return rep, nil
+	rep.DatagramsDropped = f.injected().Dropped
+	return rep
 }
 
 // DrillConfig describes a multi-epoch revocation-distribution drill: the
@@ -213,23 +160,15 @@ type DrillConfig struct {
 	// AttachTimeout bounds one client's whole handshake. Default 30s.
 	AttachTimeout time.Duration
 	// Client and Server tune the endpoints.
-	Client ClientConfig
-	Server ServerConfig
+	Client transport.ClientConfig
+	Server transport.ServerConfig
 }
 
 func (c DrillConfig) withDefaults() DrillConfig {
-	if c.Users < 1 {
-		c.Users = 8
-	}
-	if c.Rounds < 1 {
-		c.Rounds = 4
-	}
-	if c.RevokePerRound < 1 {
-		c.RevokePerRound = 2
-	}
-	if c.AttachTimeout <= 0 {
-		c.AttachTimeout = 30 * time.Second
-	}
+	setDefault(&c.Users, 8)
+	setDefault(&c.Rounds, 4)
+	setDefault(&c.RevokePerRound, 2)
+	setDefault(&c.AttachTimeout, 30*time.Second)
 	return c
 }
 
@@ -266,81 +205,44 @@ type DrillReport struct {
 // be served by signed deltas, never by re-shipping the full URL.
 func RunRevocationDrill(cfg DrillConfig) (*DrillReport, error) {
 	cfg = cfg.withDefaults()
-	const group = core.GroupID("grp-0")
-	ln, err := NewLocalNetwork(core.Config{}, "MR-0", group, cfg.Users)
-	if err != nil {
-		return nil, fmt.Errorf("provision: %w", err)
-	}
-
-	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	f, err := newFleet(fleetSpec{
+		router: "MR-0", group: "grp-0", users: cfg.Users, server: cfg.Server,
+		client: cfg.Client, attachTimeout: cfg.AttachTimeout,
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	srv := NewServer(serverConn, ln.Router, cfg.Server)
-	defer srv.Close()
-	raddr := serverConn.LocalAddr()
+	defer f.Close()
 
 	rep := &DrillReport{Users: cfg.Users, Rounds: cfg.Rounds, RevokePerRound: cfg.RevokePerRound}
-	snapPerUser := make([]atomic.Int64, cfg.Users)
-	var established atomic.Int64
-	var errMu sync.Mutex
-
+	snapshots := make([]int64, cfg.Users)
 	for round := 0; round < cfg.Rounds; round++ {
-		var wg sync.WaitGroup
-		for i := 0; i < cfg.Users; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-				if err == nil {
-					defer conn.Close()
-					cl := NewClient(conn, raddr, ln.Users[i], cfg.Client)
-					ctx, cancel := context.WithTimeout(context.Background(), cfg.AttachTimeout)
-					defer cancel()
-					_, err = cl.Attach(ctx)
-					snapPerUser[i].Add(cl.Stats().RevSnapshotFetches())
-					atomic.AddInt64(&rep.DeltaFetches, cl.Stats().RevDeltaFetches())
-					atomic.AddInt64(&rep.SnapshotFetches, cl.Stats().RevSnapshotFetches())
-				}
-				if err != nil {
-					errMu.Lock()
-					rep.Errors = append(rep.Errors, fmt.Sprintf("round %d user %d: %v", round, i, err))
-					errMu.Unlock()
-					return
-				}
-				established.Add(1)
-			}(i)
-		}
-		wg.Wait()
-
-		if round == cfg.Rounds-1 {
-			break
-		}
-		// Revoke spare slots (issued beyond the live population) so the
-		// URL grows without cutting off any attaching user.
-		for k := 0; k < cfg.RevokePerRound; k++ {
-			tok, err := ln.NO.TokenOf(group, cfg.Users+round*cfg.RevokePerRound+k)
-			if err != nil {
-				return nil, fmt.Errorf("drill: spare slot exhausted: %w", err)
+		if round > 0 {
+			// Revoke spare slots (issued beyond the live population) so
+			// the URL grows without cutting off any attaching user.
+			if err := f.bumpRevocation((round-1)*cfg.RevokePerRound, cfg.RevokePerRound); err != nil {
+				return nil, err
 			}
-			ln.NO.RevokeUserKey(tok)
 		}
-		if err := ln.RefreshRevocations(); err != nil {
-			return nil, err
+		for i, a := range f.wave(0, cfg.Users) {
+			if a.cl != nil {
+				st := a.cl.Stats()
+				snapshots[i] += st.RevSnapshotFetches()
+				rep.DeltaFetches += st.RevDeltaFetches()
+				rep.SnapshotFetches += st.RevSnapshotFetches()
+			}
+			if a.err != nil {
+				rep.Errors = append(rep.Errors, fmt.Sprintf("round %d user %d: %v", round, i, a.err))
+				continue
+			}
+			rep.Established++
 		}
-		srv.InvalidateBeacon()
 	}
-
-	rep.Established = int(established.Load())
-	for i := range snapPerUser {
-		if n := snapPerUser[i].Load(); n > rep.SnapshotsPerClientMax {
-			rep.SnapshotsPerClientMax = n
-		}
-	}
-	rep.FinalURLEpoch = ln.Router.RevocationEpoch(revocation.ListURL)
-	if snap, ok := ln.Router.RevocationSnapshot(revocation.ListURL); ok {
+	rep.SnapshotsPerClientMax = slices.Max(snapshots)
+	rep.FinalURLEpoch = f.urlEpoch()
+	if snap, ok := f.ln.Router.RevocationSnapshot(revocation.ListURL); ok {
 		rep.URLSize = len(snap.Entries)
 	}
-	rep.Server = srv.Stats().Snapshot()
+	rep.Server = f.srv.Stats().Snapshot()
 	return rep, nil
 }

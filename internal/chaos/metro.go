@@ -3,11 +3,12 @@ package chaos
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"github.com/peace-mesh/peace/internal/backbone"
+	"github.com/peace-mesh/peace/internal/metrics"
 	"github.com/peace-mesh/peace/internal/revocation"
 )
 
@@ -41,25 +42,16 @@ func (c MetroSoakConfig) withDefaults() MetroSoakConfig {
 	if c.Routers < 3 {
 		c.Routers = 8
 	}
-	if c.Users < 1 {
-		c.Users = 200
-	}
-	if c.Moves < 1 {
-		c.Moves = 3
-	}
+	setDefault(&c.Users, 200)
+	setDefault(&c.Moves, 3)
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	zero := FaultPlan{}
-	if c.Faults == zero {
+	if c.Faults == (FaultPlan{}) {
 		c.Faults = FaultPlan{Drop: 0.05, Corrupt: 0.03, Duplicate: 0.03, Reorder: 0.02}
 	}
-	if c.PartitionDelay <= 0 {
-		c.PartitionDelay = 300 * time.Millisecond
-	}
-	if c.PartitionLen <= 0 {
-		c.PartitionLen = 2 * time.Second
-	}
+	setDefault(&c.PartitionDelay, 300*time.Millisecond)
+	setDefault(&c.PartitionLen, 2*time.Second)
 	return c
 }
 
@@ -88,10 +80,6 @@ type MetroSoakReport struct {
 // Failed reports whether the run violated any invariant.
 func (r *MetroSoakReport) Failed() bool { return len(r.Violations) > 0 }
 
-func (r *MetroSoakReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
 // RunMetroSoak executes the metro roaming acceptance drill:
 //
 //  1. provision an N-router metro with a shared STEK ring, every
@@ -109,12 +97,10 @@ func (r *MetroSoakReport) violate(format string, args ...any) {
 // every move riding a ticket, zero resume fallbacks.
 func RunMetroSoak(cfg MetroSoakConfig) (*MetroSoakReport, error) {
 	cfg = cfg.withDefaults()
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+	logf := logger(cfg.Logf)
 	rep := &MetroSoakReport{Routers: cfg.Routers, Users: cfg.Users, Moves: cfg.Moves}
 
+	faults := metrics.NewRegistry()
 	conns := make([]*Conn, cfg.Routers)
 	m, err := backbone.StartMetro(backbone.MetroConfig{
 		Routers:        cfg.Routers,
@@ -124,7 +110,7 @@ func RunMetroSoak(cfg MetroSoakConfig) (*MetroSoakReport, error) {
 		GraceWindow:    60 * time.Second,
 		OwnerWait:      cfg.PartitionDelay + cfg.PartitionLen + 30*time.Second,
 		WrapBackbone: func(i int, conn net.PacketConn) net.PacketConn {
-			conns[i] = Wrap(conn, cfg.Faults, cfg.Faults, cfg.Seed+int64(i))
+			conns[i] = WrapInRegistry(conn, cfg.Faults, cfg.Faults, cfg.Seed+int64(i), faults)
 			return conns[i]
 		},
 	}, nil)
@@ -150,31 +136,23 @@ func RunMetroSoak(cfg MetroSoakConfig) (*MetroSoakReport, error) {
 		return nil, err
 	}
 	rep.Wave = wave
-	rep.Violations = append(rep.Violations, wave.Violations...)
+	v := Verdict{Violations: slices.Clone(wave.Violations)}
 	logf("chaos: wave done: %d pairings, %d resumed, %d handoffs in, %d frames relayed",
 		wave.Pairings, wave.Resumed, wave.HandoffsIn, wave.FramesRelayed)
 
-	for _, c := range conns {
-		in := c.Counters()
-		rep.Injected.Dropped += in.Dropped
-		rep.Injected.Corrupted += in.Corrupted
-		rep.Injected.Duplicated += in.Duplicated
-		rep.Injected.Reordered += in.Reordered
-		rep.Injected.Delayed += in.Delayed
-		rep.Injected.PartitionDrops += in.PartitionDrops
-	}
+	rep.Injected = newFaultCounters(faults).load()
 	if rep.Injected.Dropped+rep.Injected.Corrupted+rep.Injected.Duplicated == 0 {
-		rep.violate("no faults were injected — the soak exercised nothing")
+		v.violate("no faults were injected — the soak exercised nothing")
 	}
 	if rep.Injected.PartitionDrops == 0 {
-		rep.violate("the backbone partition never dropped a datagram")
+		v.violate("the backbone partition never dropped a datagram")
 	}
 
 	// The forwarding plane must have converged across the partition: every
 	// adopted handoff was eventually announced to (and counted by) the
 	// previous router.
 	if wave.HandoffsOut != wave.HandoffsIn {
-		rep.violate("handoffs_out = %d never converged to handoffs_in = %d after heal",
+		v.violate("handoffs_out = %d never converged to handoffs_in = %d after heal",
 			wave.HandoffsOut, wave.HandoffsIn)
 	}
 
@@ -182,48 +160,31 @@ func RunMetroSoak(cfg MetroSoakConfig) (*MetroSoakReport, error) {
 	// re-offer the bundles the metro booted with. (The bump happens after
 	// the wave — advancing mid-wave would legitimately stale the ticket
 	// pins and break the zero-extra-pairings invariant being measured.)
-	if err := bumpMetroRevocation(m.Net); err != nil {
+	n := m.Net
+	if err := revokeSpares(n.NO, n.GM.ID(), n.Users, 0, 1); err != nil {
 		return nil, err
 	}
-	for i, r := range m.Net.Routers {
-		err := r.UpdateRevocations(m.Net.InitialCRL, m.Net.InitialURL)
+	crl, url, err := n.NO.RevocationBundles()
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range n.Routers {
+		if err := r.UpdateRevocations(crl, url); err != nil {
+			return nil, err
+		}
+	}
+	for i, r := range n.Routers {
+		err := r.UpdateRevocations(n.InitialCRL, n.InitialURL)
 		switch {
 		case err == nil:
-			rep.violate("router %d accepted a revocation rollback", i)
+			v.violate("router %d accepted a revocation rollback", i)
 		case !errors.Is(err, revocation.ErrRollback):
-			rep.violate("router %d refused rollback with the wrong error: %v", i, err)
+			v.violate("router %d refused rollback with the wrong error: %v", i, err)
 		default:
 			rep.RollbacksRefused++
 		}
 	}
 	logf("chaos: %d/%d routers refused the revocation rollback", rep.RollbacksRefused, cfg.Routers)
+	rep.Violations = v.Violations
 	return rep, nil
-}
-
-// bumpMetroRevocation revokes a spare (unused) credential slot and
-// installs the advanced bundles on every router.
-func bumpMetroRevocation(n *backbone.MetroNetwork) error {
-	spare := 0
-	for _, u := range n.Users {
-		for _, c := range u.Credentials() {
-			if c.Index >= spare {
-				spare = c.Index + 1
-			}
-		}
-	}
-	tok, err := n.NO.TokenOf(n.GM.ID(), spare)
-	if err != nil {
-		return fmt.Errorf("chaos: spare token: %w", err)
-	}
-	n.NO.RevokeUserKey(tok)
-	crl, url, err := n.NO.RevocationBundles()
-	if err != nil {
-		return err
-	}
-	for _, r := range n.Routers {
-		if err := r.UpdateRevocations(crl, url); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -11,6 +11,7 @@ import (
 // Short mode (and the race detector) runs a reduced metro; `make
 // metro-soak` runs the full 8-router / 200-user configuration.
 func TestMetroSoak(t *testing.T) {
+	defer checkGoroutines(t)()
 	cfg := MetroSoakConfig{
 		Routers: 8,
 		Users:   48,

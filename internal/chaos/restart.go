@@ -1,14 +1,10 @@
 package chaos
 
 import (
-	"context"
 	"crypto/rand"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
-	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/symcrypto"
 	"github.com/peace-mesh/peace/internal/transport"
 )
@@ -40,21 +36,13 @@ type RestartSoakConfig struct {
 }
 
 func (c RestartSoakConfig) withDefaults() RestartSoakConfig {
-	if c.Users < 1 {
-		c.Users = 12
-	}
-	if c.Restarts < 1 {
-		c.Restarts = 3
-	}
+	setDefault(&c.Users, 12)
+	setDefault(&c.Restarts, 3)
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Keepalive <= 0 {
-		c.Keepalive = 100 * time.Millisecond
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 90 * time.Second
-	}
+	setDefault(&c.Keepalive, 100*time.Millisecond)
+	setDefault(&c.SettleTimeout, 90*time.Second)
 	return c
 }
 
@@ -75,14 +63,7 @@ type RestartSoakReport struct {
 	// TicketsIssued sums the ticket counters of every incarnation.
 	TicketsIssued int64
 
-	Violations []string
-}
-
-// Failed reports whether the run violated any invariant.
-func (r *RestartSoakReport) Failed() bool { return len(r.Violations) > 0 }
-
-func (r *RestartSoakReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
+	Verdict
 }
 
 // RunRestartSoak executes the scripted restart scenario:
@@ -100,146 +81,64 @@ func (r *RestartSoakReport) violate(format string, args ...any) {
 //     re-attaches on the ticket path, keys agreeing end to end.
 func RunRestartSoak(cfg RestartSoakConfig) (*RestartSoakReport, error) {
 	cfg = cfg.withDefaults()
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	rep := &RestartSoakReport{Users: cfg.Users, Restarts: cfg.Restarts}
-
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-RESTART", "grp-restart", cfg.Users)
-	if err != nil {
-		return nil, err
-	}
 	ring, err := symcrypto.NewTicketKeyRing(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	f, err := newFleet(fleetSpec{
+		router: "MR-RESTART", group: "grp-restart", users: cfg.Users,
+		server: transport.ServerConfig{BootEpoch: 1, TicketKeys: ring},
+		client: soakClient, clientSeed: cfg.Seed * 2_000_003,
+		maintain: maintained(cfg.Keepalive, cfg.SettleTimeout, 2, 30*time.Millisecond),
+		settle:   cfg.SettleTimeout, logf: cfg.Logf,
+	}, &rep.Verdict)
 	if err != nil {
 		return nil, err
 	}
-	srv := transport.NewServer(serverConn, ln.Router, transport.ServerConfig{BootEpoch: 1, TicketKeys: ring})
-	addr := srv.Addr()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	clients := make([]*transport.Client, cfg.Users)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Users; i++ {
-		raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			srv.Close()
-			return nil, err
-		}
-		clients[i] = transport.NewClient(raw, addr, ln.Users[i], transport.ClientConfig{
-			RetransmitTimeout: 60 * time.Millisecond,
-			MaxTimeout:        time.Second,
-			MaxRetries:        12,
-			Seed:              cfg.Seed*2_000_003 + int64(i),
-		})
-		wg.Add(1)
-		go func(cl *transport.Client, conn net.PacketConn) {
-			defer wg.Done()
-			defer conn.Close()
-			_ = cl.Maintain(ctx, transport.MaintainConfig{
-				KeepaliveInterval: cfg.Keepalive,
-				PingTimeout:       2 * cfg.Keepalive,
-				MaxMissed:         2,
-				ReattachMin:       30 * time.Millisecond,
-				ReattachMax:       300 * time.Millisecond,
-				AttachTimeout:     cfg.SettleTimeout / 3,
-			})
-		}(clients[i], raw)
-	}
-	defer func() {
-		cancel()
-		wg.Wait()
-	}()
-
-	established := func(epoch uint64) int {
-		n := 0
-		for _, cl := range clients {
-			if cl.Session() != nil && cl.BootEpoch() == epoch {
-				n++
-			}
-		}
-		return n
-	}
-	settle := func(what string, cond func() bool) bool {
-		deadline := time.Now().Add(cfg.SettleTimeout)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return true
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		rep.violate("timed out settling: %s", what)
-		return false
+	defer f.Close()
+	if err := f.start(0, cfg.Users); err != nil {
+		return nil, err
 	}
 
-	logf("restart-soak: attaching %d clients", cfg.Users)
-	settle("initial fleet attach", func() bool { return established(1) == cfg.Users })
+	f.logf("restart-soak: attaching %d clients", cfg.Users)
+	f.settle("initial fleet attach", func() bool { return f.established(1) == cfg.Users })
 
 	for k := 1; k <= cfg.Restarts; k++ {
 		if k == cfg.RotateBeforeRestart {
 			// Rotate past the one-generation grace window: every held
 			// ticket's sealing key leaves the ring.
-			if err := ring.Rotate(rand.Reader); err != nil {
-				srv.Close()
-				return nil, err
+			for range 2 {
+				if err := ring.Rotate(rand.Reader); err != nil {
+					return nil, err
+				}
 			}
-			if err := ring.Rotate(rand.Reader); err != nil {
-				srv.Close()
-				return nil, err
-			}
-			logf("restart-soak: STEK retired before restart %d", k)
-		}
-		rep.TicketsIssued += srv.Stats().TicketsIssued()
-		srv.Close()
-		ln.Router.Reboot()
-		conn, err := rebindPacket(addr)
-		if err != nil {
-			return nil, err
+			f.logf("restart-soak: STEK retired before restart %d", k)
 		}
 		epoch := uint64(k + 1)
-		srv = transport.NewServer(conn, ln.Router, transport.ServerConfig{BootEpoch: epoch, TicketKeys: ring})
-		logf("restart-soak: incarnation %d up, settling", epoch)
-		if !settle(fmt.Sprintf("fleet re-established on incarnation %d", epoch),
-			func() bool { return established(epoch) == cfg.Users }) {
+		if err := f.restart(epoch, false); err != nil {
+			return nil, err
+		}
+		f.logf("restart-soak: incarnation %d up, settling", epoch)
+		if !f.settle(fmt.Sprintf("fleet re-established on incarnation %d", epoch),
+			func() bool { return f.established(epoch) == cfg.Users }) {
 			break
 		}
 	}
-	rep.TicketsIssued += srv.Stats().TicketsIssued()
-	defer srv.Close()
+	rep.TicketsIssued = f.counter("tickets_issued")
 
 	// Harvest and judge.
-	for i, cl := range clients {
+	for i, cl := range f.clients {
 		st := cl.Stats()
 		rep.FullHandshakes += st.AttachSuccesses()
 		rep.Resumes += st.ResumeSuccesses()
-
-		sess := cl.Session()
-		if sess == nil {
+		if sess := cl.Session(); sess == nil {
 			rep.violate("client %d finished detached", i)
-			continue
-		}
-		routerSess, ok := ln.Router.SessionByID(sess.ID)
-		if !ok {
-			rep.violate("client %d session %s unknown to router", i, sess.ID)
-			continue
-		}
-		probe := []byte(fmt.Sprintf("probe-%d", i))
-		frame, err := routerSess.SealData(rand.Reader, probe)
-		if err != nil {
-			rep.violate("client %d: router seal: %v", i, err)
-			continue
-		}
-		if pt, err := sess.OpenData(frame); err != nil || string(pt) != string(probe) {
-			rep.violate("client %d: session keys disagree: %v", i, err)
+		} else {
+			f.keysAgree(i, sess)
 		}
 	}
-	stats := ln.Router.Stats()
+	stats := f.ln.Router.Stats()
 	rep.ExpensiveVerifications = stats.ExpensiveVerifications
 	rep.SessionsResumed = stats.SessionsResumed
 

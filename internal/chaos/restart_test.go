@@ -9,6 +9,7 @@ import (
 // the resumption subsystem: one pairing per client total, every restart
 // recovered over the symmetric ticket path.
 func TestRestartSoakResumesViaTickets(t *testing.T) {
+	defer checkGoroutines(t)()
 	cfg := RestartSoakConfig{Users: 12, Restarts: 3, Seed: 11, Logf: t.Logf}
 	if testing.Short() || raceEnabled {
 		cfg.Users = 6
@@ -36,6 +37,7 @@ func TestRestartSoakSTEKRetirement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rotation soak in -short mode")
 	}
+	defer checkGoroutines(t)()
 	cfg := RestartSoakConfig{Users: 8, Restarts: 3, RotateBeforeRestart: 2, Seed: 13, Logf: t.Logf}
 	if raceEnabled {
 		cfg.Users = 4

@@ -1,15 +1,9 @@
 package chaos
 
 import (
-	"context"
-	"crypto/rand"
-	"fmt"
 	mrand "math/rand"
-	"net"
-	"sync"
 	"time"
 
-	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/revocation"
 	"github.com/peace-mesh/peace/internal/transport"
 )
@@ -44,34 +38,19 @@ type SoakConfig struct {
 }
 
 func (c SoakConfig) withDefaults() SoakConfig {
-	if c.Users < 1 {
-		c.Users = 24
-	}
+	setDefault(&c.Users, 24)
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	zero := FaultPlan{}
-	if c.Faults == zero {
+	if c.Faults == (FaultPlan{}) {
 		c.Faults = FaultPlan{Drop: 0.10, Corrupt: 0.05, Duplicate: 0.02, Reorder: 0.02}
 	}
-	if c.StormLen <= 0 {
-		c.StormLen = 1500 * time.Millisecond
-	}
-	if c.PartitionLen <= 0 {
-		c.PartitionLen = time.Second
-	}
-	if c.PartitionFrac <= 0 {
-		c.PartitionFrac = 0.3
-	}
-	if c.PartitionFrac > 1 {
-		c.PartitionFrac = 1
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 90 * time.Second
-	}
-	if c.Keepalive <= 0 {
-		c.Keepalive = 150 * time.Millisecond
-	}
+	setDefault(&c.StormLen, 1500*time.Millisecond)
+	setDefault(&c.PartitionLen, time.Second)
+	setDefault(&c.PartitionFrac, 0.3)
+	c.PartitionFrac = min(c.PartitionFrac, 1)
+	setDefault(&c.SettleTimeout, 90*time.Second)
+	setDefault(&c.Keepalive, 150*time.Millisecond)
 	return c
 }
 
@@ -106,14 +85,7 @@ type SoakReport struct {
 	InitialURLEpoch uint64
 	FinalURLEpoch   uint64
 
-	Violations []string
-}
-
-// Failed reports whether the run violated any invariant.
-func (r *SoakReport) Failed() bool { return len(r.Violations) > 0 }
-
-func (r *SoakReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
+	Verdict
 }
 
 // RunSoak executes the scripted chaos scenario:
@@ -132,149 +104,67 @@ func (r *SoakReport) violate(format string, args ...any) {
 //     the new incarnation, then check the invariants.
 func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	cfg = cfg.withDefaults()
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	rep := &SoakReport{Users: cfg.Users}
-
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-CHAOS", "grp-chaos", cfg.Users)
-	if err != nil {
-		return nil, err
-	}
-	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
 	const epoch1, epoch2 = 1, 2
-	srv := transport.NewServer(serverConn, ln.Router, transport.ServerConfig{BootEpoch: epoch1})
-	addr := srv.Addr()
-	rep.InitialURLEpoch = ln.Router.RevocationEpoch(revocation.ListURL)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	clients := make([]*transport.Client, cfg.Users)
-	links := make([]*Conn, cfg.Users)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Users; i++ {
-		raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			cancel()
-			srv.Close()
-			return nil, err
-		}
-		link := Wrap(raw, cfg.Faults, cfg.Faults, cfg.Seed*1_000_003+int64(i))
-		links[i] = link
-		clients[i] = transport.NewClient(link, addr, ln.Users[i], transport.ClientConfig{
-			RetransmitTimeout: 60 * time.Millisecond,
-			MaxTimeout:        time.Second,
-			MaxRetries:        12,
-			Seed:              cfg.Seed*2_000_003 + int64(i),
-		})
-		wg.Add(1)
-		go func(cl *transport.Client) {
-			defer wg.Done()
-			_ = cl.Maintain(ctx, transport.MaintainConfig{
-				KeepaliveInterval: cfg.Keepalive,
-				PingTimeout:       2 * cfg.Keepalive,
-				MaxMissed:         3,
-				ReattachMin:       50 * time.Millisecond,
-				ReattachMax:       500 * time.Millisecond,
-				AttachTimeout:     cfg.SettleTimeout / 3,
-			})
-		}(clients[i])
+	f, err := newFleet(fleetSpec{
+		router: "MR-CHAOS", group: "grp-chaos", users: cfg.Users,
+		server: transport.ServerConfig{BootEpoch: epoch1},
+		in:     cfg.Faults, out: cfg.Faults, linkSeed: cfg.Seed * 1_000_003,
+		client: soakClient, clientSeed: cfg.Seed * 2_000_003,
+		maintain: maintained(cfg.Keepalive, cfg.SettleTimeout, 3, 50*time.Millisecond),
+		settle:   cfg.SettleTimeout, logf: cfg.Logf,
+	}, &rep.Verdict)
+	if err != nil {
+		return nil, err
 	}
-	defer func() {
-		cancel()
-		wg.Wait()
-		for _, l := range links {
-			_ = l.Close()
-		}
-	}()
-
-	established := func(epoch uint64) int {
-		n := 0
-		for _, cl := range clients {
-			if cl.Session() != nil && cl.BootEpoch() == epoch {
-				n++
-			}
-		}
-		return n
-	}
-	settle := func(what string, cond func() bool) bool {
-		deadline := time.Now().Add(cfg.SettleTimeout)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return true
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		rep.violate("timed out settling: %s", what)
-		return false
+	defer f.Close()
+	rep.InitialURLEpoch = f.urlEpoch()
+	if err := f.start(0, cfg.Users); err != nil {
+		return nil, err
 	}
 
 	// Phase 1+2: attach through the faulty network, then soak.
-	logf("chaos: attaching %d clients through faults %+v", cfg.Users, cfg.Faults)
-	settle("initial fleet attach", func() bool { return established(epoch1) == cfg.Users })
-	logf("chaos: fleet attached, storming for %v", cfg.StormLen)
+	f.logf("chaos: attaching %d clients through faults %+v", cfg.Users, cfg.Faults)
+	f.settle("initial fleet attach", func() bool { return f.established(epoch1) == cfg.Users })
+	f.logf("chaos: fleet attached, storming for %v", cfg.StormLen)
 	time.Sleep(cfg.StormLen)
 
 	// Phase 3: revocation bump, then drain + restart.
-	if err := bumpRevocation(ln); err != nil {
-		srv.Close()
+	if err := f.bumpRevocation(0, 1); err != nil {
 		return nil, err
 	}
-	srv.InvalidateBeacon()
-	rep.FinalURLEpoch = ln.Router.RevocationEpoch(revocation.ListURL)
+	rep.FinalURLEpoch = f.urlEpoch()
 	if rep.FinalURLEpoch <= rep.InitialURLEpoch {
 		rep.violate("revocation bump did not advance the URL epoch (%d -> %d)", rep.InitialURLEpoch, rep.FinalURLEpoch)
 	}
-	logf("chaos: revocation bumped to epoch %d, restarting server", rep.FinalURLEpoch)
-
-	dctx, dcancel := context.WithTimeout(ctx, 10*time.Second)
-	err = srv.Drain(dctx)
-	dcancel()
-	if err != nil {
-		rep.violate("drain before restart: %v", err)
-	}
-	rep.DrainRejects = srv.Stats().DrainRejects()
-	// The first incarnation's counters die with its registry; bank the
-	// judged ones before Close.
-	firstDecodeErrors := srv.Stats().DecodeErrors()
-	firstDuplicates := srv.Stats().Duplicates()
-	srv.Close()
-	ln.Router.Reboot()
-	serverConn2, err := rebindPacket(addr)
-	if err != nil {
+	f.logf("chaos: revocation bumped to epoch %d, restarting server", rep.FinalURLEpoch)
+	if err := f.restart(epoch2, true); err != nil {
 		return nil, err
 	}
-	srv2 := transport.NewServer(serverConn2, ln.Router, transport.ServerConfig{BootEpoch: epoch2})
-	defer srv2.Close()
 
 	// Phase 4: partition a deterministic subset while the fleet re-attaches.
 	prng := mrand.New(mrand.NewSource(cfg.Seed * 3_000_017))
 	nPart := int(float64(cfg.Users) * cfg.PartitionFrac)
 	for _, i := range prng.Perm(cfg.Users)[:nPart] {
-		links[i].PartitionFor(cfg.PartitionLen)
+		f.links[i].PartitionFor(cfg.PartitionLen)
 	}
-	logf("chaos: partitioned %d/%d clients for %v", nPart, cfg.Users, cfg.PartitionLen)
+	f.logf("chaos: partitioned %d/%d clients for %v", nPart, cfg.Users, cfg.PartitionLen)
 	time.Sleep(cfg.PartitionLen)
 
 	// Phase 5: heal the links and wait for full recovery.
-	for _, l := range links {
+	for _, l := range f.links {
 		l.SetPlans(FaultPlan{}, FaultPlan{})
 	}
-	logf("chaos: links healed, settling")
-	settle("fleet re-established on new incarnation", func() bool { return established(epoch2) == cfg.Users })
+	f.logf("chaos: links healed, settling")
+	f.settle("fleet re-established on new incarnation", func() bool { return f.established(epoch2) == cfg.Users })
 
 	// Harvest and judge.
 	rep.FinalBootEpoch = epoch2
-	rep.Established = established(epoch2)
+	rep.Established = f.established(epoch2)
 	if rep.Established != cfg.Users {
 		rep.violate("%d/%d clients re-established after restart", rep.Established, cfg.Users)
 	}
-	for i, cl := range clients {
+	for i, cl := range f.clients {
 		st := cl.Stats()
 		rep.Reattaches += st.Reattaches()
 		rep.RestartsDetected += st.RestartsDetected()
@@ -284,43 +174,18 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 
 		// Anti-rollback: every surviving client must have converged onto
 		// the bumped epoch despite restart and partition racing the bump.
-		if got := ln.Users[i].RevocationEpoch(revocation.ListURL); got != rep.FinalURLEpoch {
+		if got := f.users[i].RevocationEpoch(revocation.ListURL); got != rep.FinalURLEpoch {
 			rep.violate("client %d URL epoch %d, want %d (rollback or missed sync)", i, got, rep.FinalURLEpoch)
 		}
-
-		// Key agreement: the only way a session exists is a completed,
-		// uncorrupted handshake — prove it end to end.
-		sess := cl.Session()
-		if sess == nil {
-			continue
-		}
-		routerSess, ok := ln.Router.SessionByID(sess.ID)
-		if !ok {
-			rep.violate("client %d session %s unknown to router", i, sess.ID)
-			continue
-		}
-		probe := []byte(fmt.Sprintf("probe-%d", i))
-		frame, err := routerSess.SealData(rand.Reader, probe)
-		if err != nil {
-			rep.violate("client %d: router seal: %v", i, err)
-			continue
-		}
-		if pt, err := sess.OpenData(frame); err != nil || string(pt) != string(probe) {
-			rep.violate("client %d: session keys disagree: %v", i, err)
+		if sess := cl.Session(); sess != nil {
+			f.keysAgree(i, sess)
 		}
 	}
-	for _, l := range links {
-		c := l.Counters()
-		rep.Injected.Dropped += c.Dropped
-		rep.Injected.Corrupted += c.Corrupted
-		rep.Injected.Duplicated += c.Duplicated
-		rep.Injected.Reordered += c.Reordered
-		rep.Injected.Delayed += c.Delayed
-		rep.Injected.PartitionDrops += c.PartitionDrops
-	}
-	rep.ServerDecodeErrors = firstDecodeErrors + srv2.Stats().DecodeErrors()
-	rep.DuplicatesSuppressed = firstDuplicates + srv2.Stats().Duplicates()
-	stats := ln.Router.Stats()
+	rep.Injected = f.injected()
+	rep.ServerDecodeErrors = f.counter("decode_errors")
+	rep.DuplicatesSuppressed = f.counter("duplicates")
+	rep.DrainRejects = f.counter("drain_rejects")
+	stats := f.ln.Router.Stats()
 	rep.SessionsEstablished = stats.SessionsEstablished
 	rep.ExpensiveVerifications = stats.ExpensiveVerifications
 
@@ -341,37 +206,4 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		rep.violate("no keepalive was ever acknowledged")
 	}
 	return rep, nil
-}
-
-// bumpRevocation revokes a spare (unused) credential slot so the URL
-// epoch advances without knocking out any fleet member.
-func bumpRevocation(ln *transport.LocalNetwork) error {
-	spare := 0
-	for _, u := range ln.Users {
-		for _, c := range u.Credentials() {
-			if c.Index >= spare {
-				spare = c.Index + 1
-			}
-		}
-	}
-	tok, err := ln.NO.TokenOf(ln.GM.ID(), spare)
-	if err != nil {
-		return fmt.Errorf("chaos: spare token: %w", err)
-	}
-	ln.NO.RevokeUserKey(tok)
-	return ln.RefreshRevocations()
-}
-
-// rebindPacket re-listens on the exact address a closed server vacated.
-func rebindPacket(addr net.Addr) (net.PacketConn, error) {
-	var lastErr error
-	for i := 0; i < 100; i++ {
-		conn, err := net.ListenPacket("udp", addr.String())
-		if err == nil {
-			return conn, nil
-		}
-		lastErr = err
-		time.Sleep(20 * time.Millisecond)
-	}
-	return nil, fmt.Errorf("chaos: rebind %v: %w", addr, lastErr)
 }

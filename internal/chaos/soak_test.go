@@ -13,6 +13,7 @@ import (
 // an order of magnitude slower) runs a reduced fleet; `make chaos-soak`
 // runs the full 100-client configuration.
 func TestChaosSoak(t *testing.T) {
+	defer checkGoroutines(t)()
 	cfg := SoakConfig{
 		Users:         100,
 		Seed:          42,

@@ -3,7 +3,7 @@ package experiments
 import (
 	"time"
 
-	"github.com/peace-mesh/peace/internal/transport"
+	"github.com/peace-mesh/peace/internal/chaos"
 )
 
 // E13TransportRow is one loopback handshake run at a given concurrency
@@ -35,7 +35,7 @@ func RunE13Transport(userCounts []int, losses []float64) (*E13TransportReport, e
 	rep := &E13TransportReport{}
 	for _, users := range userCounts {
 		for _, loss := range losses {
-			lb, err := transport.RunLoopback(transport.LoopbackConfig{
+			lb, err := chaos.RunLoopback(chaos.LoopbackConfig{
 				Users: users,
 				Loss:  loss,
 				Seed:  1,

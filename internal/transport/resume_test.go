@@ -227,7 +227,7 @@ func TestResumeReplayIdempotence(t *testing.T) {
 
 	// Capture the resume request on its way out.
 	var captured []byte
-	rig.cl.conn = NewScriptedConn(rig.cl.conn, func(p []byte) bool {
+	rig.cl.conn = newScriptedConn(rig.cl.conn, func(p []byte) bool {
 		if k, _, err := DecodeFrame(p); err == nil && k == KindResumeRequest {
 			captured = append([]byte(nil), p...)
 		}

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -126,60 +127,28 @@ func TestAttachReplyIsFlushed(t *testing.T) {
 	}
 }
 
-// TestHandshakeSurvivesLoss wraps both directions in a 25%-loss link and
-// expects every session to establish via retransmission.
-func TestHandshakeSurvivesLoss(t *testing.T) {
-	if testing.Short() {
-		t.Skip("lossy handshake sweep in -short mode")
-	}
-	rep, err := RunLoopback(LoopbackConfig{
-		Users:  12,
-		Loss:   0.25,
-		Seed:   7,
-		Client: testClientConfig(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("%d/%d handshakes failed: %v", rep.Failed, rep.Users, rep.Errors)
-	}
-	if rep.DatagramsDropped == 0 {
-		t.Fatal("lossy link dropped nothing — loss injection broken")
-	}
-	if rep.ClientRetransmits == 0 {
-		t.Fatal("no retransmissions despite induced loss")
-	}
+// scriptedConn drops exactly the outgoing datagrams its policy selects —
+// tests script loss patterns with it ("drop the first M.2"). A dropped
+// datagram still reports a successful send, as on a lossy link.
+type scriptedConn struct {
+	net.PacketConn
+
+	mu   sync.Mutex
+	drop func(p []byte) bool
 }
 
-// TestLoopbackAcceptance is the acceptance criterion from the transport
-// issue: ≥100 concurrent full M.1–M.3 handshakes over real UDP loopback
-// with ≥5% induced datagram loss, every one recovered by retransmission.
-func TestLoopbackAcceptance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("100-user acceptance sweep in -short mode")
+func newScriptedConn(conn net.PacketConn, drop func(p []byte) bool) *scriptedConn {
+	return &scriptedConn{PacketConn: conn, drop: drop}
+}
+
+func (c *scriptedConn) WriteTo(p []byte, addr net.Addr) (int, error) {
+	c.mu.Lock()
+	drop := c.drop(p)
+	c.mu.Unlock()
+	if drop {
+		return len(p), nil
 	}
-	if raceEnabled {
-		t.Skip("100-user acceptance sweep under the race detector")
-	}
-	rep, err := RunLoopback(LoopbackConfig{
-		Users:  100,
-		Loss:   0.05,
-		Seed:   42,
-		Client: testClientConfig(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Established < 100 || rep.Failed != 0 {
-		t.Fatalf("established %d, failed %d: %v", rep.Established, rep.Failed, rep.Errors)
-	}
-	if rep.DatagramsDropped == 0 {
-		t.Fatal("no datagrams dropped at 5%% loss — injection broken")
-	}
-	t.Logf("%d handshakes in %v (%.1f/s, p50 %v, p99 %v, %d retransmits, %d drops)",
-		rep.Established, rep.Elapsed, rep.HandshakesPerSec, rep.P50, rep.P99,
-		rep.ClientRetransmits, rep.DatagramsDropped)
+	return c.PacketConn.WriteTo(p, addr)
 }
 
 // scriptKindDrop returns a drop policy that discards the first `drops`
@@ -220,7 +189,7 @@ func TestRecoveryFromDroppedMessages(t *testing.T) {
 			}
 			serverConn := net.PacketConn(mustListen(t))
 			if tc.serverDrop != KindInvalid {
-				serverConn = NewScriptedConn(serverConn, scriptKindDrop(tc.serverDrop, 1))
+				serverConn = newScriptedConn(serverConn, scriptKindDrop(tc.serverDrop, 1))
 			}
 			srv := NewServer(serverConn, ln.Router, ServerConfig{})
 			defer srv.Close()
@@ -228,7 +197,7 @@ func TestRecoveryFromDroppedMessages(t *testing.T) {
 			clientConn := net.PacketConn(mustListen(t))
 			defer clientConn.Close()
 			if tc.clientDrop != KindInvalid {
-				clientConn = NewScriptedConn(clientConn, scriptKindDrop(tc.clientDrop, 1))
+				clientConn = newScriptedConn(clientConn, scriptKindDrop(tc.clientDrop, 1))
 			}
 			cl := NewClient(clientConn, srv.Addr(), ln.Users[0], testClientConfig())
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -257,7 +226,7 @@ func TestDuplicateAccessRequestSuppressed(t *testing.T) {
 
 	// Capture the client's M.2 on its way out.
 	var captured []byte
-	clientConn := NewScriptedConn(mustListen(t), func(p []byte) bool {
+	clientConn := newScriptedConn(mustListen(t), func(p []byte) bool {
 		if k, _, err := DecodeFrame(p); err == nil && k == KindAccessRequest {
 			captured = append([]byte(nil), p...)
 		}
@@ -396,7 +365,7 @@ func TestPeerAKAOverUDP(t *testing.T) {
 		}
 	}
 
-	respConn := NewScriptedConn(mustListen(t), scriptKindDrop(KindPeerResponse, 1))
+	respConn := newScriptedConn(mustListen(t), scriptKindDrop(KindPeerResponse, 1))
 	responder := NewPeerResponder(respConn, ln.Users[1], "")
 	defer responder.Close()
 
@@ -431,47 +400,5 @@ func TestPeerAKAOverUDP(t *testing.T) {
 	}
 	if responder.Stats().Duplicates() == 0 {
 		t.Fatal("dropped M̃.2 should have forced a duplicate hello")
-	}
-}
-
-// TestRevocationDrillConvergesViaDeltas is the acceptance drill for the
-// revocation-distribution subsystem: a persistent user population
-// re-attaches across several epochs while the operator keeps revoking,
-// and after the cold-start bootstrap every client must follow the URL
-// purely through signed deltas.
-func TestRevocationDrillConvergesViaDeltas(t *testing.T) {
-	cfg := DrillConfig{Users: 4, Rounds: 3, RevokePerRound: 2, Client: testClientConfig()}
-	rep, err := RunRevocationDrill(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Errors) > 0 {
-		t.Fatalf("attach failures: %v", rep.Errors)
-	}
-	if want := cfg.Users * cfg.Rounds; rep.Established != want {
-		t.Fatalf("established %d of %d", rep.Established, want)
-	}
-	// Cold start costs at most one full snapshot per list; everything
-	// after must ride deltas.
-	if rep.SnapshotsPerClientMax > 2 {
-		t.Fatalf("some client fetched %d full snapshots", rep.SnapshotsPerClientMax)
-	}
-	// Two revocation pushes → two URL epochs → every client applies at
-	// least two deltas.
-	if want := int64(cfg.Users * (cfg.Rounds - 1)); rep.DeltaFetches < want {
-		t.Fatalf("delta fetches %d < %d", rep.DeltaFetches, want)
-	}
-	if rep.Server.Value("rev_delta_fetches") == 0 {
-		t.Fatal("server served no deltas")
-	}
-	if rep.FinalURLEpoch < 2 {
-		t.Fatalf("final URL epoch %d", rep.FinalURLEpoch)
-	}
-	if want := (cfg.Rounds - 1) * cfg.RevokePerRound; rep.URLSize != want {
-		t.Fatalf("URL size %d, want %d", rep.URLSize, want)
-	}
-	srvEpoch, ok := rep.Server.Get("url_epoch")
-	if !ok || srvEpoch.Uint != rep.FinalURLEpoch {
-		t.Fatalf("server gauge epoch %d, router at %d", srvEpoch.Uint, rep.FinalURLEpoch)
 	}
 }
